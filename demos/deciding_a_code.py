@@ -12,7 +12,6 @@ from udcodes import (
     factorize,
     is_prefix_code,
     parse_word,
-    reverse_code,
     sardinas_patterson,
 )
 
@@ -35,7 +34,7 @@ print("\nfinite delay?", report.finite)
 w = report.witness
 print("ambiguous stream:", w.rendered(), "- it may start with", " or ".join(x.text() for x in w.first_words))
 
-mirrored = reverse_code(code)
+mirrored = code.reverse()
 print("\nreversed code:", ", ".join(mirrored.texts()))
 print("prefix code?", is_prefix_code(mirrored))
 print("delay:", delay_analysis(mirrored).delay)

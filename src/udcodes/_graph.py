@@ -11,8 +11,11 @@ N = TypeVar("N", bound=Hashable)
 def cyclic_nodes(adjacency: Mapping[N, Iterable[N]]) -> set[N]:
     """Nodes lying on some directed cycle (i.e. reachable from themselves).
 
-    Quadratic in the node count, which is fine here: every graph this package
-    builds has at most a few hundred nodes.
+    Quadratic in the node count: one breadth-first search per node.  An
+    ambiguity graph has at most two nodes per proper suffix of a code word,
+    but the delay probe passes its whole automaton, up to its 200k-state cap
+    (a 56-word suffix code already gives 4,987 states), and then this
+    dominates the probe.
     """
     out: set[N] = set()
     for node in adjacency:

@@ -1,8 +1,10 @@
 """Decision procedures on a single code.
 
 Covers the prefix-code test, the Sardinas-Patterson unique-decodability
-test with a full round trace, factorization of a word into code words, and
-deciphering-delay analysis built on an ambiguity graph of dangling suffixes.
+test with a full round trace, factorization of a word into code words,
+deciphering-delay analysis built on an ambiguity graph of dangling suffixes,
+and ``classify``, which reads injectivity, the prefix property, unique
+decodability and the delay off one exploration of that graph.
 """
 
 from __future__ import annotations
@@ -269,6 +271,10 @@ def _explore(words: tuple[RawWord, ...]):
     return initials, adj, catch
 
 
+def _successors(adj: dict[_RawState, list[tuple[int, _RawState]]]):
+    return {state: [nxt for _, nxt in moves] for state, moves in adj.items()}
+
+
 def ambiguity_graph(code: Code) -> AmbiguityGraph:
     """Materialize the reachable parse-ambiguity configurations."""
     words = _raw(code)
@@ -303,19 +309,33 @@ def _normalize_periodic(preamble: tuple[int, ...], period: tuple[int, ...]):
     return tuple(pre), tuple(per)
 
 
-def _trailing_lengths(
+def _finite_delay(
     words: tuple[RawWord, ...],
     initials: list[tuple[_RawState, tuple[int, int]]],
     adj: dict[_RawState, list[tuple[int, _RawState]]],
-) -> dict[_RawState, int]:
-    """Longest-path letters consumed by the trailing side on arrival at each
-    configuration.  Only called once the graph is known to be acyclic."""
-    plain = {state: [nxt for _, nxt in moves] for state, moves in adj.items()}
-    best: dict[_RawState, int] = {}
+    plain: dict[_RawState, list[_RawState]],
+) -> int:
+    """Deciphering delay of a code whose ambiguity graph has no catch-up and
+    no cycle: 1 + the longest common prefix of two factorizable words whose
+    first code words differ.  Three sources compete for that prefix:
+      (a) two code words that diverge immediately,
+      (b) the trailing side stopping at a reachable configuration,
+      (c) a divergent continuation played against a dangling suffix.
+    """
+    m = len(words)
+    best = -1
+    for i in range(m):
+        for j in range(i + 1, m):
+            u, v = words[i], words[j]
+            if u[: len(v)] != v and v[: len(u)] != u:
+                best = max(best, _lcp(u, v))
+    # longest-path letters consumed by the trailing side on arrival at each
+    # configuration
+    consumed: dict[_RawState, int] = {}
     for state, (i, _) in initials:
-        best[state] = max(best.get(state, -1), len(words[i]))
+        consumed[state] = max(consumed.get(state, -1), len(words[i]))
     for state in topological_order(plain):
-        if state not in best:
+        if state not in consumed:
             continue
         dangling = state[0]
         for idx, nxt in adj[state]:
@@ -323,10 +343,16 @@ def _trailing_lengths(
             # overshoot hands the lead over: the new trailing side is the old
             # leader, which had consumed the dangling suffix past our total
             step = len(dangling) if len(w) > len(dangling) else len(w)
-            candidate = best[state] + step
-            if candidate > best.get(nxt, -1):
-                best[nxt] = candidate
-    return best
+            candidate = consumed[state] + step
+            if candidate > consumed.get(nxt, -1):
+                consumed[nxt] = candidate
+    for state, t_len in consumed.items():
+        best = max(best, t_len)
+        dangling = state[0]
+        for w in words:
+            if w != dangling and w[: len(dangling)] != dangling and dangling[: len(w)] != w:
+                best = max(best, t_len + _lcp(w, dangling))
+    return best + 1
 
 
 def _finish_catch(words, stream, pair):
@@ -405,34 +431,46 @@ def delay_analysis(code: Code) -> DelayReport:
     """
     words = _raw(code)
     _require_distinct(words)
-    m = len(words)
-
     initials, adj, catch = _explore(words)
-    plain = {state: [nxt for _, nxt in moves] for state, moves in adj.items()}
+    plain = _successors(adj)
     on_cycle = cyclic_nodes(plain)
     if on_cycle or any(catch.values()):
         witness = _assemble_witness(words, initials, adj, catch, on_cycle)
         return DelayReport(finite=False, delay=None, witness=witness)
-
-    # Three candidate sources for the longest ambiguous prefix:
-    #   (a) two code words that diverge immediately,
-    #   (b) the trailing side stopping at a reachable configuration,
-    #   (c) a divergent continuation played against a dangling suffix.
-    best = -1
-    for i in range(m):
-        for j in range(i + 1, m):
-            u, v = words[i], words[j]
-            if u[: len(v)] != v and v[: len(u)] != u:
-                best = max(best, _lcp(u, v))
-    consumed = _trailing_lengths(words, initials, adj)
-    for state, t_len in consumed.items():
-        best = max(best, t_len)
-        dangling = state[0]
-        for w in words:
-            if w != dangling and w[: len(dangling)] != dangling and dangling[: len(w)] != w:
-                best = max(best, t_len + _lcp(w, dangling))
-    return DelayReport(finite=True, delay=best + 1, witness=None)
+    return DelayReport(finite=True, delay=_finite_delay(words, initials, adj, plain), witness=None)
 
 
 def has_finite_delay(code: Code) -> bool:
     return delay_analysis(code).finite
+
+
+# ---------------------------------------------------------------------------
+# Classification
+
+
+@dataclass(frozen=True)
+class Classification:
+    injective: bool
+    prefix: bool
+    ud: bool
+    finite_delay: bool
+    delay: Optional[int]
+
+
+def classify(code: Code) -> Classification:
+    """Every class of the code from one exploration of its ambiguity graph.
+
+    A code with a repeated word is in none of the classes.  Otherwise it is
+    prefix iff no word starts another (no initial configuration), uniquely
+    decodable iff no configuration is a catch-up, and of finite delay iff it
+    is uniquely decodable and the graph has no cycle.
+    """
+    words = _raw(code)
+    if len(set(words)) != len(words):
+        return Classification(False, False, False, False, None)
+    initials, adj, catch = _explore(words)
+    plain = _successors(adj)
+    ud = not any(catch.values())
+    finite = ud and not cyclic_nodes(plain)
+    delay = _finite_delay(words, initials, adj, plain) if finite else None
+    return Classification(True, not initials, ud, finite, delay)

@@ -15,7 +15,7 @@ from typing import IO, Iterator, Optional
 
 from ._graph import cyclic_nodes, topological_order
 from .census import closed_form_counts, fd_matches_ud_condition
-from .decide import delay_analysis, is_prefix_code, sardinas_patterson
+from .decide import Classification, classify
 from .kraft import count_prefix_codes, is_feasible
 from .words import (
     Alphabet,
@@ -69,38 +69,17 @@ def _word_pool(length: int, n: int) -> tuple[Word, ...]:
 def enumerate_codes(
     profile: ProfileLike, n: int, cap: int = DEFAULT_UNIVERSE_CAP
 ) -> Iterator[Code]:
-    """Yield every code with the given lengths exactly once, in lexicographic
+    """Every code with the given lengths exactly once, in lexicographic
     order of the concatenated symbol sequence.  Non-injective sequences are
-    included; classification filters them."""
+    included; classification filters them.  The cap is checked on the call,
+    before any code is produced."""
     lengths = as_length_sequence(profile)
     total = universe_size(lengths, n)
     if total > cap:
         raise UniverseTooLarge(total, cap)
     alphabet = Alphabet(n)
     pools = [_word_pool(length, n) for length in lengths]
-    for combo in itertools.product(*pools):
-        yield Code(alphabet, combo)
-
-
-@dataclass(frozen=True)
-class Classification:
-    injective: bool
-    prefix: bool
-    ud: bool
-    finite_delay: bool
-    delay: Optional[int]
-
-
-def classify(code: Code) -> Classification:
-    injective = len(set(code.words)) == len(code.words)
-    prefix = is_prefix_code(code)
-    ud = sardinas_patterson(code).unique
-    if injective:
-        report = delay_analysis(code)
-        finite, delay = report.finite, report.delay
-    else:
-        finite, delay = False, None
-    return Classification(injective, prefix, ud, finite, delay)
+    return (Code(alphabet, combo) for combo in itertools.product(*pools))
 
 
 @dataclass(frozen=True)
@@ -178,13 +157,11 @@ def write_classification_csv(
 ) -> int:
     """Classify every code with the given lengths and write one CSV row per
     code; returns the number of rows."""
-    total = universe_size(profile, n)
-    if total > cap:
-        raise UniverseTooLarge(total, cap)
+    codes = enumerate_codes(profile, n, cap)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["code", "injective", "prefix", "ud", "finite_delay", "delay"])
     rows = 0
-    for code in enumerate_codes(profile, n, cap):
+    for code in codes:
         c = classify(code)
         writer.writerow(
             [

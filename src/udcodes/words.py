@@ -259,37 +259,10 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word(tuple(symbols))
 
 
-def word_to_text(word: Word, alphabet: Alphabet) -> str:
-    for s in word.symbols:
-        if s >= alphabet.size:
-            raise CodesError(f"letter {s} outside alphabet of size {alphabet.size}")
-    return word.text()
-
-
-def reverse_word(word: Word) -> Word:
-    return word.reverse()
-
-
+# kept only because tests/test_acceptance.py imports it; new code calls
+# Code.reverse
 def reverse_code(code: Code) -> Code:
     return code.reverse()
-
-
-def is_prefix(u: Word, v: Word) -> bool:
-    """True iff u is an initial segment of v (every word prefixes itself)."""
-    return u.is_prefix_of(v)
-
-
-def common_prefix_length(u: Word, v: Word) -> int:
-    k = 0
-    for a, b in zip(u.symbols, v.symbols):
-        if a != b:
-            break
-        k += 1
-    return k
-
-
-def length_profile(code: Code) -> LengthProfile:
-    return code.profile()
 
 
 def _strip_comment(line: str) -> str:

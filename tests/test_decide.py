@@ -11,7 +11,7 @@ from udcodes.decide import (
     sardinas_patterson,
 )
 from udcodes.enumeration import safe_bound, two_factorization_search
-from udcodes.words import Code, CodesError, Word, parse_word, reverse_code
+from udcodes.words import Code, CodesError, Word, parse_word
 
 
 def code(*texts, n=2):
@@ -155,7 +155,7 @@ def test_has_finite_delay():
 def test_reversal_preserves_ud():
     for words in (("10", "100", "000"), ("0", "01", "10"), ("01", "010", "11")):
         c = code(*words)
-        assert sardinas_patterson(c).unique == sardinas_patterson(reverse_code(c)).unique
+        assert sardinas_patterson(c).unique == sardinas_patterson(c.reverse()).unique
 
 
 small_codes = st.lists(
@@ -186,4 +186,4 @@ def test_sp_agrees_with_search(c):
 @settings(max_examples=300, deadline=None)
 @given(small_codes)
 def test_sp_reversal_symmetry(c):
-    assert sardinas_patterson(c).unique == sardinas_patterson(reverse_code(c)).unique
+    assert sardinas_patterson(c).unique == sardinas_patterson(c.reverse()).unique

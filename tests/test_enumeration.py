@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from udcodes.decide import delay_analysis, sardinas_patterson
+from udcodes.decide import delay_analysis, is_prefix_code, sardinas_patterson
 from udcodes.enumeration import (
     BUILTIN_SUITE,
     Classification,
@@ -18,7 +18,7 @@ from udcodes.enumeration import (
     universe_size,
     write_classification_csv,
 )
-from udcodes.words import Code, CodesError, Word, reverse_code
+from udcodes.words import Code, CodesError, Word
 
 
 def code(*texts, n=2):
@@ -58,6 +58,29 @@ def test_classify():
         injective=False, prefix=False, ud=False, finite_delay=False, delay=None
     )
     assert classify(code("0", "01", "10")).ud is False
+
+
+def test_classify_explores_each_injective_code_once(monkeypatch):
+    import udcodes.decide as decide
+    import udcodes.enumeration as enumeration
+
+    calls = []
+    explore = decide._explore
+
+    def counted(words):
+        calls.append(words)
+        return explore(words)
+
+    def forbidden(*args):
+        raise AssertionError("classify must not call the reference deciders")
+
+    monkeypatch.setattr(decide, "_explore", counted)
+    for name in ("is_prefix_code", "sardinas_patterson", "delay_analysis", "_assemble_witness"):
+        for module in (decide, enumeration):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for texts in (("10", "100", "000"), ("01", "001", "000"), ("0", "01", "10"), ("0", "0")):
+        classify(code(*texts))
+    assert len(calls) == 3
 
 
 CENSUS_TABLE = {
@@ -189,7 +212,7 @@ def test_ud_count_is_reversal_invariant():
     for profile in ((1, 2, 2), (2, 2, 3), (1, 2, 4)):
         forward = sum(1 for c in enumerate_codes(profile, 2) if classify(c).ud)
         backward = sum(
-            1 for c in enumerate_codes(profile, 2) if classify(reverse_code(c)).ud
+            1 for c in enumerate_codes(profile, 2) if classify(c.reverse()).ud
         )
         assert forward == backward == census(profile, 2, mode="enumeration").ud
 
@@ -257,6 +280,10 @@ def test_probe_verdict_stable_as_bound_grows(c):
 def test_classify_is_consistent(c):
     result = classify(c)
     assert result.ud == sardinas_patterson(c).unique
+    assert result.prefix == is_prefix_code(c)
+    if result.injective:
+        report = delay_analysis(c)
+        assert (result.finite_delay, result.delay) == (report.finite, report.delay)
     if result.prefix:
         assert result.finite_delay
     if result.finite_delay:
@@ -264,3 +291,27 @@ def test_classify_is_consistent(c):
         assert result.delay is not None
     else:
         assert result.delay is None
+
+
+def _reference_classification(c):
+    injective = len(set(c.words)) == len(c.words)
+    report = delay_analysis(c) if injective else None
+    return Classification(
+        injective=injective,
+        prefix=is_prefix_code(c),
+        ud=sardinas_patterson(c).unique,
+        finite_delay=report is not None and report.finite,
+        delay=None if report is None else report.delay,
+    )
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_classify_matches_reference_deciders_suitewide(n):
+    """Every field of classify against the prefix test, Sardinas-Patterson
+    and the delay analysis, on every code of every suite profile."""
+    checked = 0
+    for profile in BUILTIN_SUITE:
+        for c in enumerate_codes(profile, n):
+            assert classify(c) == _reference_classification(c), c.texts()
+            checked += 1
+    assert checked == sum(universe_size(p, n) for p in BUILTIN_SUITE)

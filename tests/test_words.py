@@ -11,14 +11,8 @@ from udcodes.words import (
     as_length_sequence,
     as_profile,
     code_to_text,
-    common_prefix_length,
-    is_prefix,
-    length_profile,
     parse_code_file,
     parse_word,
-    reverse_code,
-    reverse_word,
-    word_to_text,
 )
 
 
@@ -57,14 +51,6 @@ def test_alphabet_size_bounds():
         Alphabet(0)
 
 
-def test_word_to_text_round_trip():
-    alphabet = Alphabet(36)
-    for text in ("0", "10", "z0a"):
-        assert word_to_text(parse_word(text, alphabet), alphabet) == text
-    with pytest.raises(CodesError):
-        word_to_text(Word((3,)), Alphabet(2))
-
-
 def test_word_ordering_is_lexicographic():
     a = Word((0, 1))
     b = Word((0, 1, 0))
@@ -83,29 +69,23 @@ def test_word_slice_and_concat():
 
 def test_reverse_word_involution():
     w = Word((1, 0, 0))
-    assert reverse_word(w) == Word((0, 0, 1))
-    assert reverse_word(reverse_word(w)) == w
-    assert reverse_word(Word(())) == Word(())
+    assert w.reverse() == Word((0, 0, 1))
+    assert w.reverse().reverse() == w
+    assert Word(()).reverse() == Word(())
 
 
 def test_reverse_code_positionwise():
     c = Code.from_texts(["10", "100", "000"], 2)
-    r = reverse_code(c)
+    r = c.reverse()
     assert r.texts() == ("01", "001", "000")
-    assert reverse_code(r) == c
+    assert r.reverse() == c
 
 
 def test_is_prefix():
-    assert is_prefix(parse_word("10", Alphabet(2)), parse_word("100", Alphabet(2)))
-    assert is_prefix(Word((1, 0)), Word((1, 0)))
-    assert not is_prefix(Word((0, 1)), Word((0, 0, 1)))
-    assert is_prefix(Word(()), Word((1,)))
-
-
-def test_common_prefix_length():
-    assert common_prefix_length(Word((1, 0)), Word((1, 1))) == 1
-    assert common_prefix_length(Word((1, 0)), Word((1, 0))) == 2
-    assert common_prefix_length(Word((1, 0, 0)), Word((0, 0, 0))) == 0
+    assert parse_word("10", Alphabet(2)).is_prefix_of(parse_word("100", Alphabet(2)))
+    assert Word((1, 0)).is_prefix_of(Word((1, 0)))
+    assert not Word((0, 1)).is_prefix_of(Word((0, 0, 1)))
+    assert Word(()).is_prefix_of(Word((1,)))
 
 
 def test_code_rejects_empty_word():
@@ -129,7 +109,7 @@ def test_code_is_a_sequence_not_a_set():
 
 def test_length_profile_of_code():
     c = Code.from_texts(["10", "100", "000"], 2)
-    p = length_profile(c)
+    p = c.profile()
     assert p.values == (2, 3)
     assert p.multiplicities == (1, 2)
     assert p.total == 3
