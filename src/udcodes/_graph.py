@@ -1,57 +1,63 @@
-"""Tiny graph helpers shared by the delay analysis and its oracle."""
+"""Tiny graph helpers shared by the delay analysis and its oracle, both read
+off one pass of Tarjan's strongly-connected-components algorithm: linear, and
+on an explicit stack, since the delay probe passes up to 200k states."""
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Hashable, Iterable, Mapping, TypeVar
+from typing import Hashable, Iterable, Mapping, Optional, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 
 
-def cyclic_nodes(adjacency: Mapping[N, Iterable[N]]) -> set[N]:
-    """Nodes lying on some directed cycle (i.e. reachable from themselves).
-
-    Quadratic in the node count: one breadth-first search per node.  An
-    ambiguity graph has at most two nodes per proper suffix of a code word,
-    but the delay probe passes its whole automaton, up to its 200k-state cap
-    (a 56-word suffix code already gives 4,987 states), and then this
-    dominates the probe.
-    """
-    out: set[N] = set()
-    for node in adjacency:
-        queue = deque(adjacency.get(node, ()))
-        seen = set(queue)
-        found = node in seen
-        while queue and not found:
-            cur = queue.popleft()
-            for nxt in adjacency.get(cur, ()):
-                if nxt == node:
-                    found = True
+def _components(adjacency: Mapping[N, Iterable[N]]) -> list[list[N]]:
+    """Strongly connected components, each listed after every component it
+    reaches.  Nodes that appear only as edge targets count."""
+    index: dict[N, int] = {}
+    low: dict[N, int] = {}  # exactly the nodes still on `stack`
+    stack: list[N] = []
+    components: list[list[N]] = []
+    for root in adjacency:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        work = [(root, iter(adjacency.get(root, ())), len(stack))]
+        stack.append(root)
+        while work:
+            node, successors, height = work[-1]
+            for nxt in successors:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    work.append((nxt, iter(adjacency.get(nxt, ())), len(stack)))
+                    stack.append(nxt)
                     break
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        if found:
-            out.add(node)
-    return out
+                if nxt in low:
+                    low[node] = min(low[node], low[nxt])
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    components.append(stack[height:])
+                    del stack[height:]
+                    for member in components[-1]:
+                        del low[member]
+                else:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return components
 
 
-def topological_order(adjacency: Mapping[N, Iterable[N]]) -> list[N]:
-    """Topological order of an acyclic adjacency map (callers check acyclicity)."""
-    indegree: dict[N, int] = {node: 0 for node in adjacency}
-    for node, nexts in adjacency.items():
-        for nxt in nexts:
-            indegree[nxt] = indegree.get(nxt, 0) + 1
-            indegree.setdefault(node, 0)
-    ready = deque(sorted((n for n, d in indegree.items() if d == 0), key=repr))
-    order: list[N] = []
-    while ready:
-        node = ready.popleft()
-        order.append(node)
-        for nxt in adjacency.get(node, ()):
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    if len(order) != len(indegree):
-        raise ValueError("graph has a cycle")
-    return order
+def _is_cyclic(adjacency: Mapping[N, Iterable[N]], component: list[N]) -> bool:
+    return len(component) > 1 or component[0] in adjacency.get(component[0], ())
+
+
+def cyclic_nodes(adjacency: Mapping[N, Iterable[N]]) -> set[N]:
+    """Nodes lying on some directed cycle (i.e. reachable from themselves)."""
+    components = _components(adjacency)
+    return {node for c in components if _is_cyclic(adjacency, c) for node in c}
+
+
+def topological_order(adjacency: Mapping[N, Iterable[N]]) -> Optional[list[N]]:
+    """Every node once, each before its successors; None if there is a cycle."""
+    components = _components(adjacency)
+    if any(_is_cyclic(adjacency, component) for component in components):
+        return None
+    return [component[0] for component in reversed(components)]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .kraft import count_prefix_codes, is_feasible, kraft_sum
+from .kraft import count_prefix_codes, fd_matches_ud_condition, is_feasible, kraft_sum
 from .words import CodesError, LengthProfile, ProfileLike, as_profile
 
 
@@ -166,24 +166,6 @@ def is_pr_eq_ud(profile: ProfileLike, n: int) -> bool:
     p = as_profile(profile)
     _require_feasible(p, n)
     return p.is_constant
-
-
-def fd_matches_ud_condition(profile: ProfileLike) -> bool:
-    """The alphabet-independent condition under which finite-delay codes
-    exhaust the uniquely decodable ones: at most two words, all lengths
-    equal, or all but one words sharing a length that divides the length of
-    the remaining one."""
-    p = as_profile(profile)
-    if p.total <= 2 or p.is_constant:
-        return True
-    if len(p.values) == 2:
-        for odd, common in ((0, 1), (1, 0)):
-            if (
-                p.multiplicities[odd] == 1
-                and p.values[odd] % p.values[common] == 0
-            ):
-                return True
-    return False
 
 
 def is_fd_eq_ud(profile: ProfileLike, n: int) -> bool:

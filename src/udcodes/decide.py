@@ -313,11 +313,11 @@ def _finite_delay(
     words: tuple[RawWord, ...],
     initials: list[tuple[_RawState, tuple[int, int]]],
     adj: dict[_RawState, list[tuple[int, _RawState]]],
-    plain: dict[_RawState, list[_RawState]],
+    order: list[_RawState],
 ) -> int:
     """Deciphering delay of a code whose ambiguity graph has no catch-up and
-    no cycle: 1 + the longest common prefix of two factorizable words whose
-    first code words differ.  Three sources compete for that prefix:
+    no cycle (topological `order`): 1 + the longest common prefix of two
+    factorizable words whose first code words differ.  Three sources compete:
       (a) two code words that diverge immediately,
       (b) the trailing side stopping at a reachable configuration,
       (c) a divergent continuation played against a dangling suffix.
@@ -334,7 +334,7 @@ def _finite_delay(
     consumed: dict[_RawState, int] = {}
     for state, (i, _) in initials:
         consumed[state] = max(consumed.get(state, -1), len(words[i]))
-    for state in topological_order(plain):
+    for state in order:
         if state not in consumed:
             continue
         dangling = state[0]
@@ -437,11 +437,8 @@ def delay_analysis(code: Code) -> DelayReport:
     if on_cycle or any(catch.values()):
         witness = _assemble_witness(words, initials, adj, catch, on_cycle)
         return DelayReport(finite=False, delay=None, witness=witness)
-    return DelayReport(finite=True, delay=_finite_delay(words, initials, adj, plain), witness=None)
-
-
-def has_finite_delay(code: Code) -> bool:
-    return delay_analysis(code).finite
+    delay = _finite_delay(words, initials, adj, topological_order(plain))
+    return DelayReport(finite=True, delay=delay, witness=None)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +466,7 @@ def classify(code: Code) -> Classification:
     if len(set(words)) != len(words):
         return Classification(False, False, False, False, None)
     initials, adj, catch = _explore(words)
-    plain = _successors(adj)
     ud = not any(catch.values())
-    finite = ud and not cyclic_nodes(plain)
-    delay = _finite_delay(words, initials, adj, plain) if finite else None
-    return Classification(True, not initials, ud, finite, delay)
+    order = topological_order(_successors(adj)) if ud else None
+    delay = None if order is None else _finite_delay(words, initials, adj, order)
+    return Classification(True, not initials, ud, order is not None, delay)

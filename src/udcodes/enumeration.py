@@ -308,7 +308,8 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
     `unknown` is returned only when the exact delay exceeds t_max, which
     cannot happen once t_max reaches safe_bound(code).  Because the set of
     surviving first words only shrinks along a run, unbounded ambiguity
-    always shows up as a cycle among ambiguous states.
+    always shows up as a cycle among ambiguous states.  The finite witness is
+    the least first-word pair, in word order, of a deepest ambiguous state.
     """
     words = code.words
     if len(set(words)) != len(words):
@@ -347,28 +348,26 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
     def tags(state: _ProbeState) -> set[int]:
         return {entry[0] for entry in state}
 
+    def first_pair(state: _ProbeState) -> tuple[Word, Word]:
+        first, second = sorted(tags(state))[:2]
+        return words[first], words[second]
+
     ambiguous = {s for s in adjacency if len(tags(s)) >= 2}
     sub = {s: [t for t in adjacency[s] if t in ambiguous] for s in ambiguous}
-    looping = cyclic_nodes(sub)
-    if looping:
-        state = min(looping, key=sorted)
-        first, second = sorted(tags(state))[:2]
-        return ProbeResult("infinite", None, (words[first], words[second]))
+    order = topological_order(sub)
+    if order is None:
+        return ProbeResult("infinite", None, first_pair(min(cyclic_nodes(sub), key=sorted)))
     if not ambiguous:
         return ProbeResult("finite", 0, None)
 
     depth = {start: 0}
-    deepest = start
-    for state in topological_order(sub):
+    for state in order:
         if state not in depth:
             continue
         for nxt in sub[state]:
-            if depth.get(nxt, -1) < depth[state] + 1:
-                depth[nxt] = depth[state] + 1
-                if depth[nxt] > depth[deepest]:
-                    deepest = nxt
-    delay = depth[deepest] + 1
+            depth[nxt] = max(depth.get(nxt, -1), depth[state] + 1)
+    delay = max(depth.values()) + 1
     if delay > t_max:
         return ProbeResult("unknown", None, None)
-    first, second = sorted(tags(deepest))[:2]
-    return ProbeResult("finite", delay, (words[first], words[second]))
+    witness = min(first_pair(s) for s, d in depth.items() if d + 1 == delay)
+    return ProbeResult("finite", delay, witness)

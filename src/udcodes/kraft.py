@@ -358,6 +358,24 @@ class InfiniteDelayWitnessSpec:
             raise CodesError("remainder/quotient only apply to the two-values case")
 
 
+def fd_matches_ud_condition(profile: ProfileLike) -> bool:
+    """The alphabet-independent condition under which finite-delay codes
+    exhaust the uniquely decodable ones: at most two words, all lengths
+    equal, or all but one words sharing a length that divides the length of
+    the remaining one."""
+    p = as_profile(profile)
+    if p.total <= 2 or p.is_constant:
+        return True
+    if len(p.values) == 2:
+        for odd, common in ((0, 1), (1, 0)):
+            if (
+                p.multiplicities[odd] == 1
+                and p.values[odd] % p.values[common] == 0
+            ):
+                return True
+    return False
+
+
 def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, InfiniteDelayWitnessSpec]:
     """A uniquely decodable code with these lengths and infinite delay.
 
@@ -365,8 +383,6 @@ def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, Infinite
     number at most two, or all but one share a value dividing the odd one,
     every uniquely decodable code has finite delay and no witness exists.
     """
-    from .census import fd_matches_ud_condition  # deferred: census imports this module
-
     _check_n(n)
     raw = as_length_sequence(lengths)
     profile = LengthProfile.from_lengths(raw)

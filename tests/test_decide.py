@@ -6,7 +6,6 @@ from udcodes.decide import (
     ambiguity_graph,
     delay_analysis,
     factorize,
-    has_finite_delay,
     is_prefix_code,
     sardinas_patterson,
 )
@@ -147,9 +146,9 @@ def test_non_ud_code_has_infinite_delay():
 
 
 def test_has_finite_delay():
-    assert has_finite_delay(code("01", "001", "000"))
-    assert not has_finite_delay(code("10", "100", "000"))
-    assert not has_finite_delay(code("11", "00", "110"))
+    assert delay_analysis(code("01", "001", "000")).finite
+    assert not delay_analysis(code("10", "100", "000")).finite
+    assert not delay_analysis(code("11", "00", "110")).finite
 
 
 def test_reversal_preserves_ud():
@@ -171,8 +170,8 @@ def test_inclusion_chain(c):
     """prefix implies finite delay implies uniquely decodable."""
     trace = sardinas_patterson(c)
     if is_prefix_code(c):
-        assert has_finite_delay(c)
-    if len(set(c.words)) == len(c.words) and has_finite_delay(c):
+        assert delay_analysis(c).finite
+    if len(set(c.words)) == len(c.words) and delay_analysis(c).finite:
         assert trace.unique
 
 

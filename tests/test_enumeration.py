@@ -188,6 +188,11 @@ def test_probe_finite_cases():
     assert bounded_delay_probe(code("01", "001", "000"), 10).delay == 3
     assert bounded_delay_probe(code("11", "1101", "010"), 10).delay == 7
 
+    # two states share the greatest depth; the least pair of first words wins
+    result = bounded_delay_probe(Code.from_texts(["1", "0", "02", "12"], 3), 10)
+    assert result.delay == 2
+    assert tuple(w.text() for w in result.witness) == ("0", "02")
+
 
 def test_probe_infinite_case():
     result = bounded_delay_probe(code("10", "100", "000"), 10)

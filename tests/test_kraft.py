@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udcodes.decide import has_finite_delay, is_prefix_code, sardinas_patterson
+from udcodes.decide import delay_analysis, is_prefix_code, sardinas_patterson
 from udcodes.kraft import (
     ConstructionError,
     InfiniteDelayWitnessSpec,
@@ -158,7 +158,7 @@ def test_infinite_delay_witness_cases():
         assert spec.case == case
         assert c.texts() == texts
         assert sardinas_patterson(c).unique
-        assert not has_finite_delay(c)
+        assert not delay_analysis(c).finite
 
 
 def test_infinite_delay_witness_condition_errors():
