@@ -465,8 +465,15 @@ def classify(code: Code) -> Classification:
     words = _raw(code)
     if len(set(words)) != len(words):
         return Classification(False, False, False, False, None)
+    return Classification(True, *_classes(words, with_delay=True))
+
+
+def _classes(words: tuple[RawWord, ...], with_delay: bool) -> tuple[bool, bool, bool, Optional[int]]:
+    """(prefix, ud, finite_delay, delay) of pairwise distinct raw words, read
+    off one exploration; the delay is None unless asked for and finite."""
     initials, adj, catch = _explore(words)
     ud = not any(catch.values())
     order = topological_order(_successors(adj)) if ud else None
-    delay = None if order is None else _finite_delay(words, initials, adj, order)
-    return Classification(True, not initials, ud, order is not None, delay)
+    finite = order is not None
+    delay = _finite_delay(words, initials, adj, order) if with_delay and finite else None
+    return not initials, ud, finite, delay

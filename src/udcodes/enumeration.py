@@ -9,15 +9,17 @@ from __future__ import annotations
 import csv
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Iterator, Optional
 
 from ._graph import cyclic_nodes, topological_order
 from .census import closed_form_counts, fd_matches_ud_condition
-from .decide import Classification, classify
+from .decide import Classification, RawWord, _classes, classify
 from .kraft import count_prefix_codes, is_feasible
 from .words import (
+    GLYPHS,
     Alphabet,
     Code,
     CodesError,
@@ -59,11 +61,21 @@ def universe_size(profile: ProfileLike, n: int) -> int:
     return n ** sum(as_length_sequence(profile))
 
 
+def _checked_alphabet(lengths: tuple[int, ...], n: int, cap: int) -> Alphabet:
+    """The cap on the whole universe, then the alphabet, before any code."""
+    total = universe_size(lengths, n)
+    if total > cap:
+        raise UniverseTooLarge(total, cap)
+    return Alphabet(n)
+
+
+def _raw_pool(length: int, n: int) -> tuple[RawWord, ...]:
+    return tuple(itertools.product(range(n), repeat=length))
+
+
 @lru_cache(maxsize=None)
 def _word_pool(length: int, n: int) -> tuple[Word, ...]:
-    return tuple(
-        Word(symbols) for symbols in itertools.product(range(n), repeat=length)
-    )
+    return tuple(map(Word, _raw_pool(length, n)))
 
 
 def enumerate_codes(
@@ -74,10 +86,7 @@ def enumerate_codes(
     included; classification filters them.  The cap is checked on the call,
     before any code is produced."""
     lengths = as_length_sequence(profile)
-    total = universe_size(lengths, n)
-    if total > cap:
-        raise UniverseTooLarge(total, cap)
-    alphabet = Alphabet(n)
+    alphabet = _checked_alphabet(lengths, n, cap)
     pools = [_word_pool(length, n) for length in lengths]
     return (Code(alphabet, combo) for combo in itertools.product(*pools))
 
@@ -115,20 +124,38 @@ def _formula_counts(p: LengthProfile, n: int) -> tuple[int, Optional[int], Optio
 
 
 def _enumerated_counts(p: LengthProfile, n: int, cap: int) -> tuple[int, int, int]:
-    pr = fd = ud = 0
-    for code in enumerate_codes(p, n, cap):
-        c = classify(code)
-        pr += c.prefix
-        fd += c.finite_delay
-        ud += c.ud
-    return pr, fd, ud
+    _checked_alphabet(p.lengths, n, cap)
+    blocks = [(_raw_pool(v, n), r) for v, r in zip(p.values, p.multiplicities)]
+    counts = [0, 0, 0]
+
+    def extend(depth: int, words: tuple[RawWord, ...]) -> None:
+        pool, r = blocks[depth]
+        for block in itertools.combinations(pool, r):
+            code = words + block
+            if depth + 1 == len(blocks):
+                prefix, ud, finite, _ = _classes(code, with_delay=False)
+                counts[0] += prefix
+                counts[1] += finite
+                counts[2] += ud
+            elif depth == 0 or _classes(code, with_delay=False)[1]:
+                extend(depth + 1, code)
+
+    extend(0, ())
+    weight = math.prod(map(math.factorial, p.multiplicities))
+    return tuple(weight * count for count in counts)
 
 
 def census(
     profile: ProfileLike, n: int, mode: str = "both", cap: int = DEFAULT_UNIVERSE_CAP
 ) -> CensusReport:
     """Count prefix / finite-delay / uniquely decodable codes by closed
-    formulas, exhaustive enumeration, or both (cross-checking)."""
+    formulas, exhaustive enumeration, or both (cross-checking).
+
+    Enumeration classifies one code per set of equal-length words, weighted
+    by prod(r!) (reordering them keeps every class; a repeated word is in no
+    class), and skips every completion of a partial code that is not UD:
+    every class is closed under subcodes, while a partial code that is not
+    prefix, or has infinite delay, can still complete to a UD code."""
     if mode not in ("formula", "enumeration", "both"):
         raise CodesError(f"mode must be formula, enumeration or both, got {mode!r}")
     p = as_profile(profile)
@@ -156,23 +183,25 @@ def write_classification_csv(
     profile: ProfileLike, n: int, out: IO[str], cap: int = DEFAULT_UNIVERSE_CAP
 ) -> int:
     """Classify every code with the given lengths and write one CSV row per
-    code; returns the number of rows."""
-    codes = enumerate_codes(profile, n, cap)
+    code, in the order of enumerate_codes; returns the number of rows.
+    Nothing is written unless the alphabet has a text form."""
+    lengths = as_length_sequence(profile)
+    _checked_alphabet(lengths, n, cap)
+    if n > len(GLYPHS):
+        raise CodesError(f"alphabet of size {n} exceeds the {len(GLYPHS)}-letter text form")
+    pools = [_raw_pool(length, n) for length in lengths]
+    texts = {w: "".join(GLYPHS[s] for s in w) for pool in pools for w in pool}
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["code", "injective", "prefix", "ud", "finite_delay", "delay"])
     rows = 0
-    for code in codes:
-        c = classify(code)
-        writer.writerow(
-            [
-                ";".join(code.texts()),
-                _csv_bool(c.injective),
-                _csv_bool(c.prefix),
-                _csv_bool(c.ud),
-                _csv_bool(c.finite_delay),
-                "" if c.delay is None else str(c.delay),
-            ]
+    for words in itertools.product(*pools):
+        injective = len(set(words)) == len(words)
+        prefix, ud, finite, delay = (
+            _classes(words, with_delay=True) if injective else (False, False, False, None)
         )
+        flags = map(_csv_bool, (injective, prefix, ud, finite))
+        text = ";".join(map(texts.__getitem__, words))
+        writer.writerow([text, *flags, "" if delay is None else str(delay)])
         rows += 1
     return rows
 

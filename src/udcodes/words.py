@@ -259,12 +259,6 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word(tuple(symbols))
 
 
-# kept only because tests/test_acceptance.py imports it; new code calls
-# Code.reverse
-def reverse_code(code: Code) -> Code:
-    return code.reverse()
-
-
 def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
 

@@ -55,7 +55,7 @@ from udcodes.kraft import (
     kraft_sum,
     ud_nonprefix_witness,
 )
-from udcodes.words import Code, reverse_code
+from udcodes.words import Code
 
 
 def _has_double_factorization(words, max_words):
@@ -224,7 +224,7 @@ def test_09_regression_flagship_example_and_its_reverse():
     assert witness.preamble.text() == "1"
     assert witness.period.text() == "0"
     assert witness.rendered() == "1(0)^inf"
-    reverse = classify(reverse_code(code))
+    reverse = classify(code.reverse())
     assert reverse.prefix and reverse.finite_delay
     print("PASS 09: (10,100,000) UD, not prefix, infinite delay; reverse is prefix")
 

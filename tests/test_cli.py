@@ -242,6 +242,14 @@ def test_classify_all_stdout():
     assert "{" not in out
 
 
+def test_classify_all_without_text_form_writes_only_the_error():
+    rc, out, _err = run("classify-all", "--lengths", "1,1", "--alphabet", "40")
+    assert rc == 2
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["error"]["message"] == "alphabet of size 40 exceeds the 36-letter text form"
+
+
 def test_classify_all_to_file(tmp_path):
     target = tmp_path / "rows.csv"
     rc, payload = run_json(

@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -114,6 +115,70 @@ def test_census_table(profile, n):
     assert (report.pr, report.fd, report.ud) == (pr, fd, ud)
     assert report.discrepancies == ()
     assert report.total == universe_size(profile, n)
+
+
+CENSUS_DIFFERENTIAL = [(p, n) for p in BUILTIN_SUITE for n in (2, 3)] + [
+    ((2, 2, 3, 4), 2),
+    ((1, 1, 2, 2), 3),
+    ((2, 3, 4), 3),
+    ((2, 2, 3, 3, 4), 2),
+    ((2, 2, 2, 3), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "profile,n", CENSUS_DIFFERENTIAL, ids=[f"{p}-{n}" for p, n in CENSUS_DIFFERENTIAL]
+)
+def test_census_matches_plain_enumeration(profile, n):
+    """The census, which classifies one code per set of equal-length words
+    and prunes non-UD partial codes, against classifying every ordered code."""
+    pr = fd = ud = 0
+    for c in enumerate_codes(profile, n):
+        result = classify(c)
+        pr += result.prefix
+        fd += result.finite_delay
+        ud += result.ud
+    report = census(profile, n, mode="enumeration")
+    assert (report.pr, report.fd, report.ud) == (pr, fd, ud)
+
+
+def test_census_builds_no_code(monkeypatch):
+    import udcodes.decide as decide
+    import udcodes.enumeration as enumeration
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the census must not build or classify Code objects")
+
+    for name in ("enumerate_codes", "classify"):
+        monkeypatch.setattr(enumeration, name, forbidden)
+    monkeypatch.setattr(Code, "__post_init__", forbidden)
+    monkeypatch.setattr(Word, "__post_init__", forbidden)
+    monkeypatch.setattr(decide, "_finite_delay", forbidden)
+    calls = []
+    kernel = decide._classes
+
+    def counted(words, with_delay):
+        calls.append(words)
+        return kernel(words, with_delay)
+
+    monkeypatch.setattr(enumeration, "_classes", counted)
+    report = census((2, 2, 2, 3), 3, mode="enumeration")
+    assert (report.pr, report.fd, report.ud) == (9072, 10584, 12744)
+    # one code per set of three length-2 words, completed by each length-3 word
+    assert len(calls) <= math.comb(9, 3) * 27
+
+
+@pytest.mark.parametrize("mode", ("enumeration", "both"))
+def test_census_refuses_large_universe(mode):
+    with pytest.raises(UniverseTooLarge) as exc:
+        census((2, 3, 3), 3, mode=mode, cap=3**8 - 1)
+    assert exc.value.total == 3 ** (2 + 3 + 3)
+    assert exc.value.cap == 3**8 - 1
+
+
+def test_census_rejects_one_letter_alphabet():
+    with pytest.raises(CodesError, match="alphabet size must be an integer >= 2, got 1"):
+        census((1, 2), 1, mode="enumeration")
 
 
 def test_census_counts_are_nested():
@@ -246,6 +311,13 @@ def test_classification_csv_refuses_before_writing():
     buf = io.StringIO()
     with pytest.raises(UniverseTooLarge):
         write_classification_csv((2, 3, 3), 2, buf, cap=10)
+    assert buf.getvalue() == ""
+
+
+def test_classification_csv_refuses_alphabet_without_text_form():
+    buf = io.StringIO()
+    with pytest.raises(CodesError, match="alphabet of size 40 exceeds the 36-letter text form"):
+        write_classification_csv((1, 1), 40, buf)
     assert buf.getvalue() == ""
 
 
