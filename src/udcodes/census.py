@@ -1,16 +1,21 @@
-"""Closed-form code counts, the quotient lower bound on |UD|/|PR|, and the
-predicates for when the prefix / finite-delay classes exhaust the uniquely
-decodable ones.
+"""Class sizes: closed-form code counts, the exhaustive census (on raw word
+tuples, never a Code), the quotient lower bound on |UD|/|PR|, and the
+predicates for when the prefix / finite-delay classes exhaust the UD ones.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from .decide import RawWord, _classes
 from .kraft import count_prefix_codes, fd_matches_ud_condition, is_feasible, kraft_sum
-from .words import CodesError, LengthProfile, ProfileLike, as_profile
+from .words import Alphabet, CodesError, LengthProfile, ProfileLike, as_length_sequence, as_profile
+
+DEFAULT_UNIVERSE_CAP = 10**6
 
 
 class CodeCounts(NamedTuple):
@@ -22,8 +27,7 @@ def count_pr_pair(a: int, b: int, n: int) -> int:
     """Number of two-word prefix codes with lengths (a, b): n^(a+b) - n^max(a,b)."""
     if a < 1 or b < 1:
         raise CodesError(f"lengths must be >= 1, got a={a}, b={b}")
-    if n < 2:
-        raise CodesError(f"alphabet size must be >= 2, got {n}")
+    Alphabet(n)
     return n ** (a + b) - n ** max(a, b)
 
 
@@ -36,8 +40,7 @@ def count_233(n: int) -> CodeCounts:
     letter there are (n^3-1)(n^3-2) - 2(n-1).  Both counts agree with
     exhaustive enumeration at n = 2 and n = 3.
     """
-    if n < 2:
-        raise CodesError(f"alphabet size must be >= 2, got {n}")
+    Alphabet(n)
     distinct_pair = n**3 * (n**3 - 1) - 2 * (n + 1)
     repeated_pair = (n**3 - 1) * (n**3 - 2) - 2 * (n - 1)
     ud = n * (n - 1) * distinct_pair + n * repeated_pair
@@ -48,8 +51,7 @@ def count_233(n: int) -> CodeCounts:
 def count_all_a_then_b(n: int, m: int, a: int, b: int) -> CodeCounts:
     """Exact |UD| and |PR| for m-1 words of length a plus one of length b,
     where a divides b.  Negative factors clamp to zero (empty set)."""
-    if n < 2:
-        raise CodesError(f"alphabet size must be >= 2, got {n}")
+    Alphabet(n)
     if m < 2:
         raise CodesError(f"need at least two words, got m={m}")
     if b % a != 0:
@@ -87,6 +89,120 @@ def closed_form_counts(profile: ProfileLike, n: int) -> Optional[CodeCounts]:
     return None
 
 
+class UniverseTooLarge(CodesError):
+    def __init__(self, total: int, cap: int):
+        super().__init__(
+            f"enumeration universe holds {total} codes, above the cap of {cap}"
+        )
+        self.total = total
+        self.cap = cap
+
+
+def universe_size(profile: ProfileLike, n: int) -> int:
+    """Number of ordered word sequences with the given lengths."""
+    return n ** sum(as_length_sequence(profile))
+
+
+def _checked_alphabet(lengths: tuple[int, ...], n: int, cap: int) -> Alphabet:
+    """The cap on the whole universe, then the alphabet, before any code."""
+    total = universe_size(lengths, n)
+    if total > cap:
+        raise UniverseTooLarge(total, cap)
+    return Alphabet(n)
+
+
+def _raw_pool(length: int, n: int) -> tuple[RawWord, ...]:
+    return tuple(itertools.product(range(n), repeat=length))
+
+
+@dataclass(frozen=True)
+class CensusReport:
+    """Counts of the prefix / finite-delay / uniquely decodable codes with a
+    given length profile.  A count is None when the requested source cannot
+    produce it (formula mode with no applicable closed form).  discrepancies
+    is non-empty only in both mode, when formula and enumeration disagree."""
+
+    profile: LengthProfile
+    n: int
+    total: int
+    pr: Optional[int]
+    fd: Optional[int]
+    ud: Optional[int]
+    source: str
+    discrepancies: tuple[str, ...]
+
+
+def _formula_counts(p: LengthProfile, n: int) -> tuple[int, Optional[int], Optional[int]]:
+    pr = count_prefix_codes(p, n).count
+    if not is_feasible(p, n):
+        return 0, 0, 0
+    closed = closed_form_counts(p, n)
+    ud = closed.ud if closed is not None else None
+    if p.is_constant:
+        fd: Optional[int] = pr
+    elif fd_matches_ud_condition(p):
+        fd = ud
+    else:
+        fd = None
+    return pr, fd, ud
+
+
+def _enumerated_counts(p: LengthProfile, n: int, cap: int) -> tuple[int, int, int]:
+    _checked_alphabet(p.lengths, n, cap)
+    blocks = [(_raw_pool(v, n), r) for v, r in zip(p.values, p.multiplicities)]
+    counts = [0, 0, 0]
+
+    def extend(depth: int, words: tuple[RawWord, ...]) -> None:
+        pool, r = blocks[depth]
+        for block in itertools.combinations(pool, r):
+            code = words + block
+            if depth + 1 == len(blocks):
+                prefix, ud, finite, _ = _classes(code, with_delay=False)
+                counts[0] += prefix
+                counts[1] += finite
+                counts[2] += ud
+            elif depth == 0 or _classes(code, with_delay=False)[1]:
+                extend(depth + 1, code)
+
+    extend(0, ())
+    weight = math.prod(map(math.factorial, p.multiplicities))
+    return tuple(weight * count for count in counts)
+
+
+def census(
+    profile: ProfileLike, n: int, mode: str = "both", cap: int = DEFAULT_UNIVERSE_CAP
+) -> CensusReport:
+    """Count prefix / finite-delay / uniquely decodable codes by closed
+    formulas, exhaustive enumeration, or both (cross-checking).
+
+    Enumeration classifies one code per set of equal-length words, weighted
+    by prod(r!) (reordering them keeps every class; a repeated word is in no
+    class), and skips every completion of a partial code that is not UD:
+    every class is closed under subcodes, while a partial code that is not
+    prefix, or has infinite delay, can still complete to a UD code."""
+    if mode not in ("formula", "enumeration", "both"):
+        raise CodesError(f"mode must be formula, enumeration or both, got {mode!r}")
+    p = as_profile(profile)
+    total = universe_size(p, n)
+    if mode == "formula":
+        pr, fd, ud = _formula_counts(p, n)
+        return CensusReport(p, n, total, pr, fd, ud, mode, ())
+    e_pr, e_fd, e_ud = _enumerated_counts(p, n, cap)
+    if mode == "enumeration":
+        return CensusReport(p, n, total, e_pr, e_fd, e_ud, mode, ())
+    f_pr, f_fd, f_ud = _formula_counts(p, n)
+    discrepancies = tuple(
+        f"{name}: formula {formula} != enumeration {enumerated}"
+        for name, formula, enumerated in (
+            ("pr", f_pr, e_pr),
+            ("fd", f_fd, e_fd),
+            ("ud", f_ud, e_ud),
+        )
+        if formula is not None and formula != enumerated
+    )
+    return CensusReport(p, n, total, e_pr, e_fd, e_ud, mode, discrepancies)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Lower bound on the ratio |UD| / |PR| obtained from two length values
@@ -107,11 +223,8 @@ class BoundReport:
     satisfied: Optional[bool]
 
 
-DEFAULT_BOUND_CAP = 10**6
-
-
 def theorem1_bound(
-    profile: ProfileLike, n: int, a: int, b: int, enumeration_cap: int = DEFAULT_BOUND_CAP
+    profile: ProfileLike, n: int, a: int, b: int, enumeration_cap: int = DEFAULT_UNIVERSE_CAP
 ) -> BoundReport:
     """Evaluate the quotient lower bound for two distinct length values.
 
@@ -137,8 +250,6 @@ def theorem1_bound(
     if counts is not None:
         ud: Optional[int] = counts.ud
     else:
-        from .enumeration import UniverseTooLarge, census
-
         try:
             ud = census(p, n, mode="enumeration", cap=enumeration_cap).ud
         except UniverseTooLarge:

@@ -16,21 +16,24 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import IO, Any, Optional
 
-from .census import is_fd_eq_ud, is_pr_eq_ud, theorem1_bound
-from .decide import DelayReport, SPTrace, delay_analysis, is_prefix_code, sardinas_patterson
-from .enumeration import (
-    BUILTIN_SUITE,
+from .census import (
     DEFAULT_UNIVERSE_CAP,
     UniverseTooLarge,
-    bounded_delay_probe,
     census,
-    classify,
+    is_fd_eq_ud,
+    is_pr_eq_ud,
+    theorem1_bound,
+    universe_size,
+)
+from .decide import DelayReport, SPTrace, classify, delay_analysis, is_prefix_code, sardinas_patterson
+from .enumeration import (
+    BUILTIN_SUITE,
+    bounded_delay_probe,
     enumerate_codes,
     safe_bound,
     two_factorization_search,
-    universe_size,
     write_classification_csv,
 )
 from .kraft import (
@@ -281,7 +284,7 @@ def _verify_profile(lengths: tuple[int, ...], n: int, cap: int, checks: list) ->
                         bound.satisfied is not False,
                         f"a={a} b={b} lower={bound.lower_bound} ratio={bound.ratio}",
                     )
-        if not is_fd_eq_ud(lengths, n):
+        if not fd_eq:
             code, spec = infinite_delay_witness(lengths, n)
             c = classify(code)
             record(
@@ -295,11 +298,12 @@ def _verify_profile(lengths: tuple[int, ...], n: int, cap: int, checks: list) ->
         sample = ""
         for code in enumerate_codes(lengths, n, cap):
             trace = sardinas_patterson(code)
-            found = two_factorization_search(code, safe_bound(code))
+            bound = safe_bound(code)
+            found = two_factorization_search(code, bound)
             ok = trace.unique == (found is None)
             if ok and len(set(code.words)) == len(code.words):
                 analysis = delay_analysis(code)
-                probe = bounded_delay_probe(code, safe_bound(code))
+                probe = bounded_delay_probe(code, bound)
                 ok = (
                     analysis.finite == (probe.verdict == "finite")
                     and analysis.delay == probe.delay
@@ -331,6 +335,21 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
     return inputs, results, 1 if failures else 0
 
 
+class _OpenOnWrite:
+    """A text file opened, and so truncated, on the first write: a refused
+    run writes nothing and so leaves an existing file alone."""
+
+    handle: Optional[IO[str]] = None
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def write(self, text: str) -> int:
+        if self.handle is None:
+            self.handle = open(self.path, "w", encoding="ascii")
+        return self.handle.write(text)
+
+
 def cmd_classify_all(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
     inputs = {
         "lengths": args.lengths,
@@ -341,8 +360,12 @@ def cmd_classify_all(args: argparse.Namespace, cap: int) -> tuple[dict, dict, in
     if args.output in (None, "-"):
         write_classification_csv(lengths, args.alphabet, sys.stdout, cap=cap)
         return inputs, {}, 0
-    with open(args.output, "w", encoding="ascii") as handle:
-        rows = write_classification_csv(lengths, args.alphabet, handle, cap=cap)
+    out = _OpenOnWrite(args.output)
+    try:
+        rows = write_classification_csv(lengths, args.alphabet, out, cap=cap)
+    finally:
+        if out.handle is not None:
+            out.handle.close()
     return inputs, {"rows": rows, "path": args.output}, 0
 
 
@@ -451,6 +474,8 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # counts are printed in full, however long
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -141,7 +141,7 @@ def factorize(code: Code, u: Word) -> Optional[tuple[int, ...]]:
     Only defined for uniquely decodable codes; anything else is a contract
     violation.  Indices are 0-based positions into the code sequence.
     """
-    if not sardinas_patterson(code).unique:
+    if not classify(code).ud:
         raise CodesError("factorize needs a uniquely decodable code")
     words = _raw(code)
     target = u.symbols

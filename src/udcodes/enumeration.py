@@ -1,7 +1,7 @@
-"""Exhaustive desk-scale verification: enumerate every code with a given
-length sequence, classify each one, aggregate censuses, and provide
-brute-force deciders (a two-factorization search and a bounded delay probe)
-that are independent of the decision module's algorithms.
+"""Per-code work at desk scale: enumerate every code with a given length
+sequence, write one classification per code, and provide brute-force
+deciders (a two-factorization search and a bounded delay probe) that are
+independent of the decision module's algorithms.
 """
 
 from __future__ import annotations
@@ -9,28 +9,14 @@ from __future__ import annotations
 import csv
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Iterator, Optional
 
 from ._graph import cyclic_nodes, topological_order
-from .census import closed_form_counts, fd_matches_ud_condition
-from .decide import Classification, RawWord, _classes, classify
-from .kraft import count_prefix_codes, is_feasible
-from .words import (
-    GLYPHS,
-    Alphabet,
-    Code,
-    CodesError,
-    LengthProfile,
-    ProfileLike,
-    Word,
-    as_length_sequence,
-    as_profile,
-)
-
-DEFAULT_UNIVERSE_CAP = 10**6
+# census, classify and universe_size are re-exported: callers reach them here.
+from .census import DEFAULT_UNIVERSE_CAP, _checked_alphabet, _raw_pool, census, universe_size
+from .decide import _classes, classify
+from .words import GLYPHS, Code, CodesError, ProfileLike, Word, as_length_sequence
 
 # Length sequences exercised by the verify command; all enumerable at n <= 3.
 BUILTIN_SUITE: tuple[tuple[int, ...], ...] = (
@@ -47,37 +33,6 @@ BUILTIN_SUITE: tuple[tuple[int, ...], ...] = (
 )
 
 
-class UniverseTooLarge(CodesError):
-    def __init__(self, total: int, cap: int):
-        super().__init__(
-            f"enumeration universe holds {total} codes, above the cap of {cap}"
-        )
-        self.total = total
-        self.cap = cap
-
-
-def universe_size(profile: ProfileLike, n: int) -> int:
-    """Number of ordered word sequences with the given lengths."""
-    return n ** sum(as_length_sequence(profile))
-
-
-def _checked_alphabet(lengths: tuple[int, ...], n: int, cap: int) -> Alphabet:
-    """The cap on the whole universe, then the alphabet, before any code."""
-    total = universe_size(lengths, n)
-    if total > cap:
-        raise UniverseTooLarge(total, cap)
-    return Alphabet(n)
-
-
-def _raw_pool(length: int, n: int) -> tuple[RawWord, ...]:
-    return tuple(itertools.product(range(n), repeat=length))
-
-
-@lru_cache(maxsize=None)
-def _word_pool(length: int, n: int) -> tuple[Word, ...]:
-    return tuple(map(Word, _raw_pool(length, n)))
-
-
 def enumerate_codes(
     profile: ProfileLike, n: int, cap: int = DEFAULT_UNIVERSE_CAP
 ) -> Iterator[Code]:
@@ -87,96 +42,8 @@ def enumerate_codes(
     before any code is produced."""
     lengths = as_length_sequence(profile)
     alphabet = _checked_alphabet(lengths, n, cap)
-    pools = [_word_pool(length, n) for length in lengths]
+    pools = [tuple(map(Word, _raw_pool(length, n))) for length in lengths]
     return (Code(alphabet, combo) for combo in itertools.product(*pools))
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    """Counts of the prefix / finite-delay / uniquely decodable codes with a
-    given length profile.  A count is None when the requested source cannot
-    produce it (formula mode with no applicable closed form).  discrepancies
-    is non-empty only in both mode, when formula and enumeration disagree."""
-
-    profile: LengthProfile
-    n: int
-    total: int
-    pr: Optional[int]
-    fd: Optional[int]
-    ud: Optional[int]
-    source: str
-    discrepancies: tuple[str, ...]
-
-
-def _formula_counts(p: LengthProfile, n: int) -> tuple[int, Optional[int], Optional[int]]:
-    pr = count_prefix_codes(p, n).count
-    if not is_feasible(p, n):
-        return 0, 0, 0
-    closed = closed_form_counts(p, n)
-    ud = closed.ud if closed is not None else None
-    if p.is_constant:
-        fd: Optional[int] = pr
-    elif fd_matches_ud_condition(p):
-        fd = ud
-    else:
-        fd = None
-    return pr, fd, ud
-
-
-def _enumerated_counts(p: LengthProfile, n: int, cap: int) -> tuple[int, int, int]:
-    _checked_alphabet(p.lengths, n, cap)
-    blocks = [(_raw_pool(v, n), r) for v, r in zip(p.values, p.multiplicities)]
-    counts = [0, 0, 0]
-
-    def extend(depth: int, words: tuple[RawWord, ...]) -> None:
-        pool, r = blocks[depth]
-        for block in itertools.combinations(pool, r):
-            code = words + block
-            if depth + 1 == len(blocks):
-                prefix, ud, finite, _ = _classes(code, with_delay=False)
-                counts[0] += prefix
-                counts[1] += finite
-                counts[2] += ud
-            elif depth == 0 or _classes(code, with_delay=False)[1]:
-                extend(depth + 1, code)
-
-    extend(0, ())
-    weight = math.prod(map(math.factorial, p.multiplicities))
-    return tuple(weight * count for count in counts)
-
-
-def census(
-    profile: ProfileLike, n: int, mode: str = "both", cap: int = DEFAULT_UNIVERSE_CAP
-) -> CensusReport:
-    """Count prefix / finite-delay / uniquely decodable codes by closed
-    formulas, exhaustive enumeration, or both (cross-checking).
-
-    Enumeration classifies one code per set of equal-length words, weighted
-    by prod(r!) (reordering them keeps every class; a repeated word is in no
-    class), and skips every completion of a partial code that is not UD:
-    every class is closed under subcodes, while a partial code that is not
-    prefix, or has infinite delay, can still complete to a UD code."""
-    if mode not in ("formula", "enumeration", "both"):
-        raise CodesError(f"mode must be formula, enumeration or both, got {mode!r}")
-    p = as_profile(profile)
-    total = universe_size(p, n)
-    if mode == "formula":
-        pr, fd, ud = _formula_counts(p, n)
-        return CensusReport(p, n, total, pr, fd, ud, mode, ())
-    e_pr, e_fd, e_ud = _enumerated_counts(p, n, cap)
-    if mode == "enumeration":
-        return CensusReport(p, n, total, e_pr, e_fd, e_ud, mode, ())
-    f_pr, f_fd, f_ud = _formula_counts(p, n)
-    discrepancies = tuple(
-        f"{name}: formula {formula} != enumeration {enumerated}"
-        for name, formula, enumerated in (
-            ("pr", f_pr, e_pr),
-            ("fd", f_fd, e_fd),
-            ("ud", f_ud, e_ud),
-        )
-        if formula is not None and formula != enumerated
-    )
-    return CensusReport(p, n, total, e_pr, e_fd, e_ud, mode, discrepancies)
 
 
 def write_classification_csv(

@@ -36,7 +36,7 @@ class ConstructionError(CodesError):
 
 def kraft_sum(profile: ProfileLike, n: int) -> Fraction:
     """Sum of r * n^-value over the profile, as an exact rational."""
-    _check_n(n)
+    Alphabet(n)
     p = as_profile(profile)
     return sum(
         (Fraction(r, n**v) for v, r in zip(p.values, p.multiplicities)), Fraction(0)
@@ -46,11 +46,6 @@ def kraft_sum(profile: ProfileLike, n: int) -> Fraction:
 def is_feasible(profile: ProfileLike, n: int) -> bool:
     """True iff some uniquely decodable code has these lengths (sum <= 1)."""
     return kraft_sum(profile, n) <= 1
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise CodesError(f"alphabet size must be an integer >= 2, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,7 @@ class KraftTrace:
 
 def count_prefix_codes(profile: ProfileLike, n: int) -> KraftTrace:
     """Exact number of prefix codes (as ordered sequences) with this profile."""
-    _check_n(n)
+    Alphabet(n)
     p = as_profile(profile)
     available = []
     count = 1
@@ -163,7 +158,7 @@ def canonical_prefix_code(lengths: ProfileLike, n: int) -> Code:
     shadowed by shorter ones; positions sharing a length are filled in
     ascending order.
     """
-    _check_n(n)
+    Alphabet(n)
     raw = as_length_sequence(lengths)
     profile = LengthProfile.from_lengths(raw)
     s = kraft_sum(profile, n)
@@ -221,7 +216,7 @@ def _check_anchor_args(profile: LengthProfile, a: int, b: int) -> None:
 
 def count_anchored_prefix_codes(profile: ProfileLike, n: int, a: int, b: int) -> AnchoredFamily:
     """Exact size of the anchored family; 0 for infeasible profiles."""
-    _check_n(n)
+    Alphabet(n)
     p = as_profile(profile)
     _check_anchor_args(p, a, b)
     index_a = p.values.index(a)
@@ -256,7 +251,7 @@ def anchored_prefix_code(
     words.  Forced words occupy the earliest slots of their length (anchor
     first, then the forced zero word), extras follow in ascending order.
     """
-    _check_n(n)
+    Alphabet(n)
     raw = as_length_sequence(lengths)
     profile = LengthProfile.from_lengths(raw)
     _check_anchor_args(profile, a, b)
@@ -319,7 +314,7 @@ def ud_nonprefix_witness(lengths: ProfileLike, n: int) -> Code:
     smallest length values; reversal preserves unique decodability, and the
     reversed anchors make the short word a prefix of the longer one.
     """
-    _check_n(n)
+    Alphabet(n)
     raw = as_length_sequence(lengths)
     profile = LengthProfile.from_lengths(raw)
     if profile.is_constant:
@@ -383,7 +378,7 @@ def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, Infinite
     number at most two, or all but one share a value dividing the odd one,
     every uniquely decodable code has finite delay and no witness exists.
     """
-    _check_n(n)
+    Alphabet(n)
     raw = as_length_sequence(lengths)
     profile = LengthProfile.from_lengths(raw)
     if fd_matches_ud_condition(profile):

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import math
+import sys
 
 import pytest
 
@@ -261,6 +263,58 @@ def test_classify_all_to_file(tmp_path):
     lines = target.read_text().splitlines()
     assert len(lines) == 9
     assert lines[0] == "code,injective,prefix,ud,finite_delay,delay"
+
+
+@pytest.mark.parametrize(
+    "lengths,alphabet,cap", [("1,1", "40", None), ("2,3,3", "2", "10")]
+)
+def test_classify_all_refusal_leaves_the_file_alone(tmp_path, monkeypatch, lengths, alphabet, cap):
+    target = tmp_path / "rows.csv"
+    target.write_bytes(b"keep me")
+    if cap is not None:
+        monkeypatch.setenv("CODES_UNIVERSE_CAP", cap)
+    rc, payload = run_json(
+        "classify-all", "--lengths", lengths, "--alphabet", alphabet, "--output", str(target)
+    )
+    assert rc == 2
+    assert payload["status"] == "error"
+    assert target.read_bytes() == b"keep me"
+
+
+@pytest.fixture
+def int_digit_limit():
+    """main lifts the interpreter's int-to-str digit limit; put it back."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def digits(power):
+    """Decimal digit count of 2**power, without rendering it."""
+    return math.floor(power * math.log10(2)) + 1
+
+
+def test_count_reports_a_universe_of_any_size(int_digit_limit):
+    rc, payload = run_json("count", "--lengths", "20000,1", "--alphabet", "2")
+    assert rc == 2
+    universe = payload["error"]["universe"]
+    assert len(universe) == digits(20001)
+    assert universe.endswith(str(pow(2, 20001, 10**9)).zfill(9))
+
+
+def test_count_formula_prints_counts_of_any_size(int_digit_limit):
+    rc, payload = run_json(
+        "count", "--lengths", "20000,1", "--alphabet", "2", "--method", "formula"
+    )
+    assert rc == 0
+    counts = payload["results"]["census"]
+    assert len(counts["total"]) == digits(20001)
+    # two words of lengths 1 and 20000: ud = 2^20001 - 2, pr = 2^20000
+    assert len(counts["ud"]) == digits(20001)
+    assert counts["ud"].endswith(str((pow(2, 20001, 10**9) - 2) % 10**9).zfill(9))
+    assert len(counts["pr"]) == digits(20000)
+    assert counts["pr"].endswith(str(pow(2, 20000, 10**9)).zfill(9))
 
 
 def test_universe_cap_env(monkeypatch):

@@ -87,6 +87,10 @@ def test_factorize_refuses_non_ud():
         factorize(code("0", "01", "10"), Word((0,)))
 
 
+def texts_of(state):
+    return state.dangling.text(), state.leader
+
+
 def test_ambiguity_graph_cycle():
     g = ambiguity_graph(code("10", "100", "000"))
     assert not g.is_empty
@@ -94,12 +98,27 @@ def test_ambiguity_graph_cycle():
     assert danglings == {"0"}
     reachable = {s.dangling.text() for s, _w, _t in g.transitions}
     assert "00" in reachable
+    assert [texts_of(s) for s in g.states] == [("0", 1), ("00", 0)]
+    assert len(g.transitions) == 2
+    assert g.catch_ups == ()
+
+
+def test_ambiguity_graph_catch_up():
+    # 0|10 and 01|0 both spell 010: the trailing side catches up with "0"
+    g = ambiguity_graph(code("0", "01", "10"))
+    assert [(texts_of(s), pair) for s, pair in g.initials] == [(("1", 1), (0, 1))]
+    assert [(texts_of(s), idx, texts_of(t)) for s, idx, t in g.transitions] == [
+        (("0", 0), 1, ("1", 1)),
+        (("1", 1), 2, ("0", 0)),
+    ]
+    assert [(texts_of(s), idx) for s, idx in g.catch_ups] == [(("0", 0), 0)]
 
 
 def test_ambiguity_graph_empty_without_prefix_pair():
     g = ambiguity_graph(code("0", "10", "11"))
     assert g.is_empty
     assert g.initials == ()
+    assert g.transitions == g.catch_ups == ()
 
 
 def test_ambiguity_graph_rejects_duplicates():
