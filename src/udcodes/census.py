@@ -5,14 +5,22 @@ predicates for when the prefix / finite-delay classes exhaust the UD ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .decide import RawWord, _classes
-from .kraft import count_prefix_codes, fd_matches_ud_condition, is_feasible, kraft_sum
+from .kraft import (
+    check_power_bits,
+    count_prefix_codes,
+    fd_matches_ud_condition,
+    is_feasible,
+    kraft_sum,
+)
 from .words import Alphabet, CodesError, LengthProfile, ProfileLike, as_length_sequence, as_profile
 
 DEFAULT_UNIVERSE_CAP = 10**6
@@ -99,7 +107,9 @@ class UniverseTooLarge(CodesError):
 
 
 def universe_size(profile: ProfileLike, n: int) -> int:
-    """Number of ordered word sequences with the given lengths."""
+    """Number of ordered word sequences with the given lengths; refused
+    (CodesError) when it may need more than MAX_POWER_BITS bits."""
+    check_power_bits(profile, n)
     return n ** sum(as_length_sequence(profile))
 
 
@@ -147,24 +157,92 @@ def _formula_counts(p: LengthProfile, n: int) -> tuple[int, Optional[int], Optio
     return pr, fd, ud
 
 
+def _first_occurrence(words: tuple[RawWord, ...]) -> tuple[int, ...]:
+    """The concatenated words with their letters renamed 0, 1, ... in order
+    of first occurrence."""
+    flat = tuple(itertools.chain.from_iterable(words))
+    names = dict(zip(dict.fromkeys(flat), itertools.count()))
+    return tuple(map(names.__getitem__, flat))
+
+
+def _renamed(words: tuple[RawWord, ...], bits: dict[RawWord, int]) -> int:
+    """The set of words, renamed, as a bit set: the sum of bits[w]."""
+    return sum(map(bits.__getitem__, words))
+
+
+def _letter_maps(pool: tuple[RawWord, ...], k: int) -> list[dict[RawWord, int]]:
+    """For every permutation of the letters 0..k-1, identity first, the bit
+    1 << j of the pool position j it renames each word to."""
+    position = {w: j for j, w in enumerate(pool)}
+    return [
+        {w: 1 << position[tuple(map(image.__getitem__, w))] for w in pool}
+        for image in itertools.permutations(range(k))
+    ]
+
+
+def _orbits(v: int, r: int, n: int) -> list[list]:
+    """[representative, size] of every orbit of the r-sets of words of length
+    v under permutations of the n letters.
+
+    The blocks of one orbit all use some k letters, and each k-set of letters
+    is used by equally many of them.  So each orbit is counted among the
+    blocks over the letters 0..k-1 that use all k of them, and its size is
+    that count times C(n, k): neither n! nor a permutation of the whole
+    alphabet is ever formed.
+
+    A block is matched to its orbit by at most min(r!, k!) relabellings.
+    When r <= k its key is the least first-occurrence relabelling over the r!
+    orders of its words.  Otherwise its key is its own set of words (as a bit
+    set of pool positions), and the first block of each orbit also enters
+    the sets of its images under the other k! - 1 permutations of the
+    letters.  Blocks of one orbit have the same r and k, hence the same form.
+    """
+    orbits: list[list] = []
+    for k in range(1, min(n, v * r) + 1):
+        pool = _raw_pool(v, k)
+        letter_bits = {w: functools.reduce(operator.or_, (1 << a for a in w)) for w in pool}
+        maps = _letter_maps(pool, k) if r > k else []
+        sets_of_k_letters = math.comb(n, k)
+        orbit_of: dict[object, list] = {}
+        for block in itertools.combinations(pool, r):
+            if functools.reduce(operator.or_, map(letter_bits.__getitem__, block)) != (1 << k) - 1:
+                continue  # counted with fewer letters
+            if maps:
+                key = _renamed(block, maps[0])
+            else:
+                key = min(map(_first_occurrence, itertools.permutations(block)))
+            entry = orbit_of.get(key)
+            if entry is None:
+                entry = [block, 0]
+                orbits.append(entry)
+                orbit_of[key] = entry
+                for bits in maps[1:]:
+                    orbit_of[_renamed(block, bits)] = entry
+            entry[1] += sets_of_k_letters
+    return orbits
+
+
 def _enumerated_counts(p: LengthProfile, n: int, cap: int) -> tuple[int, int, int]:
     _checked_alphabet(p.lengths, n, cap)
-    blocks = [(_raw_pool(v, n), r) for v, r in zip(p.values, p.multiplicities)]
+    later = [(_raw_pool(v, n), r) for v, r in zip(p.values[1:], p.multiplicities[1:])]
     counts = [0, 0, 0]
 
-    def extend(depth: int, words: tuple[RawWord, ...]) -> None:
-        pool, r = blocks[depth]
-        for block in itertools.combinations(pool, r):
-            code = words + block
-            if depth + 1 == len(blocks):
-                prefix, ud, finite, _ = _classes(code, with_delay=False)
-                counts[0] += prefix
-                counts[1] += finite
-                counts[2] += ud
-            elif depth == 0 or _classes(code, with_delay=False)[1]:
-                extend(depth + 1, code)
+    def visit(depth: int, code: tuple[RawWord, ...], weight: int) -> None:
+        """Count `code`, one set of words from each of the first depth + 1
+        blocks, if it is complete, else its completions if it is UD (a set
+        of equal length words always is)."""
+        if depth == len(later):
+            prefix, ud, finite, _ = _classes(code, with_delay=False)
+            counts[0] += weight * prefix
+            counts[1] += weight * finite
+            counts[2] += weight * ud
+        elif depth == 0 or _classes(code, with_delay=False)[1]:
+            pool, r = later[depth]
+            for block in itertools.combinations(pool, r):
+                visit(depth + 1, code + block, weight)
 
-    extend(0, ())
+    for first, size in _orbits(p.values[0], p.multiplicities[0], n):
+        visit(0, first, size)
     weight = math.prod(map(math.factorial, p.multiplicities))
     return tuple(weight * count for count in counts)
 
@@ -177,9 +255,13 @@ def census(
 
     Enumeration classifies one code per set of equal-length words, weighted
     by prod(r!) (reordering them keeps every class; a repeated word is in no
-    class), and skips every completion of a partial code that is not UD:
-    every class is closed under subcodes, while a partial code that is not
-    prefix, or has infinite delay, can still complete to a UD code."""
+    class).  Renaming letters keeps every class too, so of the sets of
+    shortest words it extends one per orbit under letter permutations,
+    weighted by the orbit's size.  It skips every completion of a partial
+    code that is not UD: every class is closed under subcodes, while a
+    partial code that is not prefix, or has infinite delay, can still
+    complete to a UD code.  Each code is classified by one depth-first walk
+    of its ambiguity graph that stops at the first catch-up."""
     if mode not in ("formula", "enumeration", "both"):
         raise CodesError(f"mode must be formula, enumeration or both, got {mode!r}")
     p = as_profile(profile)
@@ -224,11 +306,17 @@ class BoundReport:
 
 
 def theorem1_bound(
-    profile: ProfileLike, n: int, a: int, b: int, enumeration_cap: int = DEFAULT_UNIVERSE_CAP
+    profile: ProfileLike,
+    n: int,
+    a: int,
+    b: int,
+    enumeration_cap: int = DEFAULT_UNIVERSE_CAP,
+    ud_count: Optional[int] = None,
 ) -> BoundReport:
     """Evaluate the quotient lower bound for two distinct length values.
 
-    The true ratio is reported alongside when |UD| is available from a
+    The true ratio is reported alongside when |UD| is available: given as
+    ``ud_count`` (say, by a census the caller already ran), or else from a
     closed form or a desk-scale enumeration; it is never estimated.
     """
     p = as_profile(profile)
@@ -246,14 +334,16 @@ def theorem1_bound(
     lower = 1 + Fraction(r_a * r_b, count_pr_pair(a, b, n))
     pr = count_prefix_codes(p, n).count
 
-    counts = closed_form_counts(p, n)
-    if counts is not None:
-        ud: Optional[int] = counts.ud
-    else:
-        try:
-            ud = census(p, n, mode="enumeration", cap=enumeration_cap).ud
-        except UniverseTooLarge:
-            ud = None
+    ud = ud_count
+    if ud is None:
+        counts = closed_form_counts(p, n)
+        if counts is not None:
+            ud = counts.ud
+        else:
+            try:
+                ud = census(p, n, mode="enumeration", cap=enumeration_cap).ud
+            except UniverseTooLarge:
+                pass
 
     ratio = Fraction(ud, pr) if ud is not None else None
     satisfied = (ratio >= lower) if ratio is not None else None

@@ -175,7 +175,7 @@ def cmd_count(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
     if args.anchored is not None:
         a, b = _parse_pair(args.anchored)
         family = count_anchored_prefix_codes(lengths, n, a, b)
-        bound = theorem1_bound(lengths, n, a, b, enumeration_cap=cap)
+        bound = theorem1_bound(lengths, n, a, b, enumeration_cap=cap, ud_count=report.ud)
         results["anchored"] = {
             "a": a,
             "b": b,
@@ -278,7 +278,9 @@ def _verify_profile(lengths: tuple[int, ...], n: int, cap: int, checks: list) ->
             values = sorted(profile)
             for i, a in enumerate(values):
                 for b in values[i + 1 :]:
-                    bound = theorem1_bound(lengths, n, a, b, enumeration_cap=cap)
+                    bound = theorem1_bound(
+                        lengths, n, a, b, enumeration_cap=cap, ud_count=report.ud
+                    )
                     record(
                         "ratio-bound",
                         bound.satisfied is not False,

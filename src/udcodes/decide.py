@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from ._graph import cyclic_nodes, topological_order
+from ._graph import cyclic_nodes
 from .words import Code, CodesError, Word
 
 RawWord = tuple[int, ...]
@@ -251,35 +251,57 @@ def _moves(words: tuple[RawWord, ...], state: _RawState):
     return moves, catches
 
 
-def _explore(words: tuple[RawWord, ...]):
+def _explore(words: tuple[RawWord, ...], stop_at_catch_up: bool = False):
+    """Depth-first walk of the ambiguity graph from every initial configuration.
+
+    Returns (initials, adj, catch, post, cyclic): the initial configurations,
+    the moves and catch-up plays of every visited state, the visited states
+    in post-order (reversed, a topological order when the graph is acyclic),
+    and whether some edge closes a cycle (a back edge).  With
+    ``stop_at_catch_up`` the walk ends at the first state offering a catch-up:
+    the code is then not uniquely decodable, and ``post`` and ``cyclic``
+    describe only the part walked so far.
+    """
     initials = _initial_configs(words)
     adj: dict[_RawState, list[tuple[int, _RawState]]] = {}
     catch: dict[_RawState, list[int]] = {}
-    queue = deque(state for state, _ in initials)
-    seen = set(queue)
-    while queue:
-        state = queue.popleft()
-        if state in adj:
+    post: list[_RawState] = []
+    cyclic = False
+    on_path: set[_RawState] = set()
+    for root, _ in initials:
+        if root in adj:
             continue
-        moves, catches = _moves(words, state)
-        adj[state] = moves
-        catch[state] = catches
-        for _, nxt in moves:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return initials, adj, catch
-
-
-def _successors(adj: dict[_RawState, list[tuple[int, _RawState]]]):
-    return {state: [nxt for _, nxt in moves] for state, moves in adj.items()}
+        state: Optional[_RawState] = root
+        stack = []
+        while state is not None or stack:
+            if state is not None:
+                moves, catches = _moves(words, state)
+                adj[state] = moves
+                catch[state] = catches
+                if catches and stop_at_catch_up:
+                    return initials, adj, catch, post, cyclic
+                on_path.add(state)
+                stack.append((state, iter(moves)))
+            top, successors = stack[-1]
+            state = None
+            for _, nxt in successors:
+                if nxt not in adj:
+                    state = nxt
+                    break
+                if nxt in on_path:
+                    cyclic = True
+            else:
+                stack.pop()
+                on_path.discard(top)
+                post.append(top)
+    return initials, adj, catch, post, cyclic
 
 
 def ambiguity_graph(code: Code) -> AmbiguityGraph:
     """Materialize the reachable parse-ambiguity configurations."""
     words = _raw(code)
     _require_distinct(words)
-    initials, adj, catch = _explore(words)
+    initials, adj, catch, _, _ = _explore(words)
 
     def wrap(state: _RawState) -> AmbState:
         return AmbState(Word(state[0]), state[1])
@@ -313,11 +335,12 @@ def _finite_delay(
     words: tuple[RawWord, ...],
     initials: list[tuple[_RawState, tuple[int, int]]],
     adj: dict[_RawState, list[tuple[int, _RawState]]],
-    order: list[_RawState],
+    order: Iterable[_RawState],
 ) -> int:
     """Deciphering delay of a code whose ambiguity graph has no catch-up and
-    no cycle (topological `order`): 1 + the longest common prefix of two
-    factorizable words whose first code words differ.  Three sources compete:
+    no cycle (`order` lists its states, each before its successors): 1 + the
+    longest common prefix of two factorizable words whose first code words
+    differ.  Three sources compete:
       (a) two code words that diverge immediately,
       (b) the trailing side stopping at a reachable configuration,
       (c) a divergent continuation played against a dangling suffix.
@@ -431,13 +454,12 @@ def delay_analysis(code: Code) -> DelayReport:
     """
     words = _raw(code)
     _require_distinct(words)
-    initials, adj, catch = _explore(words)
-    plain = _successors(adj)
-    on_cycle = cyclic_nodes(plain)
-    if on_cycle or any(catch.values()):
-        witness = _assemble_witness(words, initials, adj, catch, on_cycle)
+    initials, adj, catch, post, cyclic = _explore(words)
+    if cyclic or any(catch.values()):
+        successors = {state: [nxt for _, nxt in moves] for state, moves in adj.items()}
+        witness = _assemble_witness(words, initials, adj, catch, cyclic_nodes(successors))
         return DelayReport(finite=False, delay=None, witness=witness)
-    delay = _finite_delay(words, initials, adj, topological_order(plain))
+    delay = _finite_delay(words, initials, adj, reversed(post))
     return DelayReport(finite=True, delay=delay, witness=None)
 
 
@@ -470,10 +492,12 @@ def classify(code: Code) -> Classification:
 
 def _classes(words: tuple[RawWord, ...], with_delay: bool) -> tuple[bool, bool, bool, Optional[int]]:
     """(prefix, ud, finite_delay, delay) of pairwise distinct raw words, read
-    off one exploration; the delay is None unless asked for and finite."""
-    initials, adj, catch = _explore(words)
+    off one depth-first exploration that stops at the first catch-up (such a
+    code is neither UD nor of finite delay): prefix iff no initial
+    configuration, UD iff no catch-up, finite delay iff also no back edge.
+    The delay is None unless asked for and finite."""
+    initials, adj, catch, post, cyclic = _explore(words, stop_at_catch_up=True)
     ud = not any(catch.values())
-    order = topological_order(_successors(adj)) if ud else None
-    finite = order is not None
-    delay = _finite_delay(words, initials, adj, order) if with_delay and finite else None
+    finite = ud and not cyclic
+    delay = _finite_delay(words, initials, adj, reversed(post)) if with_delay and finite else None
     return not initials, ud, finite, delay

@@ -34,10 +34,30 @@ class ConstructionError(CodesError):
         self.stage = stage
 
 
+# Every power and count built for a profile (the universe n^(sum of
+# lengths), the Kraft sum's denominators, the prefix-code count) is at most
+# n^(sum of lengths), so one bound on its size keeps them all in memory.
+MAX_POWER_BITS = 2**20
+
+
+def check_power_bits(profile: ProfileLike, n: int) -> None:
+    """Refuse a profile whose n^(sum of lengths) may need more than
+    MAX_POWER_BITS bits, that is, whose sum of lengths times ceil(log2 n)
+    exceeds it, before any power is built."""
+    p = as_profile(profile)
+    total = sum(v * r for v, r in zip(p.values, p.multiplicities))
+    if total * (n - 1).bit_length() > MAX_POWER_BITS:
+        raise CodesError(
+            f"lengths summing to {total} are refused at alphabet size {n}: "
+            f"{n}^{total} may need more than {MAX_POWER_BITS} bits"
+        )
+
+
 def kraft_sum(profile: ProfileLike, n: int) -> Fraction:
     """Sum of r * n^-value over the profile, as an exact rational."""
     Alphabet(n)
     p = as_profile(profile)
+    check_power_bits(p, n)
     return sum(
         (Fraction(r, n**v) for v, r in zip(p.values, p.multiplicities)), Fraction(0)
     )
@@ -67,6 +87,7 @@ def count_prefix_codes(profile: ProfileLike, n: int) -> KraftTrace:
     """Exact number of prefix codes (as ordered sequences) with this profile."""
     Alphabet(n)
     p = as_profile(profile)
+    check_power_bits(p, n)
     available = []
     count = 1
     previous_n = None

@@ -1,3 +1,5 @@
+import importlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from udcodes.census import (
     BoundReport,
     CodeCounts,
+    census,
     closed_form_counts,
     count_233,
     count_all_a_then_b,
@@ -13,8 +16,9 @@ from udcodes.census import (
     is_fd_eq_ud,
     is_pr_eq_ud,
     theorem1_bound,
+    universe_size,
 )
-from udcodes.kraft import count_prefix_codes
+from udcodes.kraft import MAX_POWER_BITS, count_prefix_codes, kraft_sum
 from udcodes.words import CodesError, LengthProfile
 
 
@@ -121,6 +125,19 @@ def test_theorem1_bound_cap_leaves_ud_unknown():
     assert report.satisfied is None
 
 
+def test_theorem1_bound_takes_a_known_ud_count(monkeypatch):
+    census_module = importlib.import_module("udcodes.census")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a known UD count needs no census")
+
+    computed = theorem1_bound((2, 2, 3), 2, 2, 3)
+    monkeypatch.setattr(census_module, "census", forbidden)
+    given = theorem1_bound((2, 2, 3), 2, 2, 3, ud_count=80)
+    assert given == computed
+    assert theorem1_bound((2, 2, 3), 2, 2, 3, enumeration_cap=10, ud_count=80) == computed
+
+
 def test_theorem1_bound_is_symmetric_in_the_pair():
     forward = theorem1_bound((2, 3, 3), 2, 2, 3)
     backward = theorem1_bound((2, 3, 3), 2, 3, 2)
@@ -137,6 +154,38 @@ def test_theorem1_bound_errors():
         theorem1_bound((2, 3, 3), 2, 2, 4)
     with pytest.raises(CodesError):
         theorem1_bound((1, 1, 2), 2, 1, 2)
+
+
+def test_powers_past_the_bit_bound_are_refused_without_allocating():
+    many_twos = LengthProfile((2,), (10**6,))
+    tracemalloc.start()
+    try:
+        for call in (
+            lambda: universe_size((10**11, 1), 2),
+            lambda: kraft_sum((10**11, 1), 2),
+            lambda: count_prefix_codes((10**11, 1), 2),
+            lambda: universe_size(many_twos, 3),
+        ):
+            with pytest.raises(CodesError, match=f"more than {MAX_POWER_BITS} bits"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_power_bit_bound_is_sum_times_ceil_log2_n():
+    assert MAX_POWER_BITS == 2**20
+    assert universe_size((MAX_POWER_BITS - 1, 1), 2) == 2**MAX_POWER_BITS
+    with pytest.raises(CodesError):
+        universe_size((MAX_POWER_BITS, 1), 2)
+    # a million-letter word is still counted (2^1000001 has 1000002 bits)
+    report = census((1000000, 1), 2, mode="formula")
+    assert report.ud == 2**1000001 - 2
+    # ceil(log2 3) = 2 bits per letter
+    assert kraft_sum((MAX_POWER_BITS // 2,), 3) == Fraction(1, 3 ** (MAX_POWER_BITS // 2))
+    with pytest.raises(CodesError):
+        kraft_sum((MAX_POWER_BITS // 2, 1), 3)
 
 
 def test_is_pr_eq_ud():

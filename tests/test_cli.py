@@ -1,11 +1,14 @@
 import contextlib
+import importlib
 import io
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 
+from udcodes import cli
 from udcodes.cli import main
 
 
@@ -315,6 +318,45 @@ def test_count_formula_prints_counts_of_any_size(int_digit_limit):
     assert counts["ud"].endswith(str((pow(2, 20001, 10**9) - 2) % 10**9).zfill(9))
     assert len(counts["pr"]) == digits(20000)
     assert counts["pr"].endswith(str(pow(2, 20000, 10**9)).zfill(9))
+
+
+@pytest.mark.parametrize("command", ("count", "witness"))
+def test_huge_lengths_are_refused_before_any_power_is_built(command):
+    # 2^(10^11 + 1) would take 12.5 GB; the refusal must not allocate it
+    argv = ["--lengths", "100000000000,1", "--alphabet", "2"]
+    if command == "witness":
+        argv = ["--kind", "prefix"] + argv
+    tracemalloc.start()
+    try:
+        rc, payload = run_json(command, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert payload["status"] == "error"
+    assert "may need more than 1048576 bits" in payload["error"]["message"]
+    assert peak < 10**6
+
+
+def test_verify_runs_one_census_per_profile(tmp_path, monkeypatch):
+    census_module = importlib.import_module("udcodes.census")
+    calls = []
+    real = census_module.census
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "census", counted)
+    monkeypatch.setattr(census_module, "census", counted)
+    suite = tmp_path / "suite.txt"
+    suite.write_text("1,2,4\n")
+    rc, payload = run_json("verify", "--suite", str(suite), "--alphabet-max", "2")
+    assert rc == 0
+    # three ratio-bound checks, one for each pair of length values
+    ratio = [entry for entry in payload["results"]["checks"] if entry["check"] == "ratio-bound"]
+    assert len(ratio) == 3
+    assert calls == [((1, 2, 4), 2)]
 
 
 def test_universe_cap_env(monkeypatch):

@@ -2,14 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udcodes._graph import cyclic_nodes
 from udcodes.decide import (
+    _explore,
     ambiguity_graph,
     delay_analysis,
     factorize,
     is_prefix_code,
     sardinas_patterson,
 )
-from udcodes.enumeration import safe_bound, two_factorization_search
+from udcodes.enumeration import enumerate_codes, safe_bound, two_factorization_search
 from udcodes.words import Code, CodesError, Word, parse_word
 
 
@@ -205,3 +207,34 @@ def test_sp_agrees_with_search(c):
 @given(small_codes)
 def test_sp_reversal_symmetry(c):
     assert sardinas_patterson(c).unique == sardinas_patterson(c.reverse()).unique
+
+
+def test_explore_stops_at_the_first_catch_up():
+    # 0|10 and 01|0 both spell 010: the walk ends on reaching the catch-up
+    words = tuple(w.symbols for w in code("0", "01", "10").words)
+    initials, adj, catch, _post, _cyclic = _explore(words, stop_at_catch_up=True)
+    assert [state for state, _pair in initials] == [((1,), 1)]
+    assert list(adj) == [((1,), 1), ((0,), 0)]
+    assert [state for state, plays in catch.items() if plays] == [((0,), 0)]
+
+
+@pytest.mark.parametrize("lengths", [(1, 2, 3), (2, 2, 3), (2, 3, 3), (1, 3, 4)])
+def test_explore_depth_first_against_graph_helpers(lengths):
+    """The walk's back edges and post-order against the linear SCC pass, and
+    the early stop against the full walk, on every injective binary code."""
+    for c in enumerate_codes(lengths, 2):
+        words = tuple(w.symbols for w in c.words)
+        if len(set(words)) < len(words):
+            continue
+        initials, adj, catch, post, cyclic = _explore(words)
+        successors = {state: [nxt for _, nxt in moves] for state, moves in adj.items()}
+        assert cyclic == bool(cyclic_nodes(successors))
+        assert sorted(post) == sorted(adj)
+        if not cyclic:
+            rank = {state: i for i, state in enumerate(reversed(post))}
+            assert all(rank[s] < rank[t] for s, ts in successors.items() for t in ts)
+        ud = not any(catch.values())
+        stopped = _explore(words, stop_at_catch_up=True)
+        assert (not any(stopped[2].values())) == ud
+        if ud:
+            assert stopped == (initials, adj, catch, post, cyclic)

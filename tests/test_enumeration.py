@@ -1,5 +1,7 @@
+import collections
 import importlib
 import io
+import itertools
 import math
 
 import pytest
@@ -71,9 +73,9 @@ def test_classify_explores_each_injective_code_once(monkeypatch):
     calls = []
     explore = decide._explore
 
-    def counted(words):
+    def counted(words, **kwargs):
         calls.append(words)
-        return explore(words)
+        return explore(words, **kwargs)
 
     def forbidden(*args):
         raise AssertionError("classify must not call the reference deciders")
@@ -108,6 +110,8 @@ CENSUS_TABLE = {
     ((2, 2, 4), 3): (4536, 5544, 5544),
     ((2, 3, 3), 2): (120, 160, 180),
     ((2, 3, 3), 3): (4968, 6030, 6102),
+    ((3, 4, 5, 5), 2): (72800, 107824, 117048),
+    ((2, 3, 3, 4), 3): (327888, 461112, 478728),
 }
 
 
@@ -126,6 +130,8 @@ CENSUS_DIFFERENTIAL = [(p, n) for p in BUILTIN_SUITE for n in (2, 3)] + [
     ((2, 3, 4), 3),
     ((2, 2, 3, 3, 4), 2),
     ((2, 2, 2, 3), 3),
+    ((3, 3, 4, 5), 2),
+    ((1, 2, 2), 4),
 ]
 
 
@@ -173,6 +179,77 @@ def test_census_builds_no_code(monkeypatch):
     assert (report.pr, report.fd, report.ud) == (9072, 10584, 12744)
     # one code per set of three length-2 words, completed by each length-3 word
     assert 0 < len(calls) <= math.comb(9, 3) * 27
+
+
+def _brute_orbits(v, r, n):
+    """Orbit sizes of the r-sets of words of length v, keyed by the least
+    image over all n! letter permutations."""
+    sizes = collections.Counter()
+    for block in itertools.combinations(itertools.product(range(n), repeat=v), r):
+        sizes[_least_image(block, n)] += 1
+    return sizes
+
+
+def _least_image(block, n):
+    return min(
+        tuple(sorted(tuple(image[a] for a in w) for w in block))
+        for image in itertools.permutations(range(n))
+    )
+
+
+@pytest.mark.parametrize(
+    "profile,n", CENSUS_DIFFERENTIAL, ids=[f"{p}-{n}" for p, n in CENSUS_DIFFERENTIAL]
+)
+def test_first_block_orbits(profile, n):
+    """One representative per orbit of the first block, with the orbit's size."""
+    census_module = importlib.import_module("udcodes.census")
+    v, r = min(profile), profile.count(min(profile))
+    orbits = census_module._orbits(v, r, n)
+    assert sum(size for _, size in orbits) == math.comb(n**v, r)
+    expected = _brute_orbits(v, r, n)
+    assert {_least_image(block, n): size for block, size in orbits} == expected
+    assert len(orbits) == len(expected)
+
+
+@pytest.mark.parametrize(
+    "profile,n,calls",
+    [((3, 3, 4, 5), 2, 8032), ((2, 2, 3, 3, 4), 2, 944), ((2, 2, 2, 3), 3, 459)],
+    ids=["3345-2", "22334-2", "2223-3"],
+)
+def test_census_kernel_calls(monkeypatch, profile, n, calls):
+    """One code per orbit of the first block is extended (the benchmark's
+    census profiles made 14,080, 1,448 and 2,268 calls without the fold)."""
+    census_module = importlib.import_module("udcodes.census")
+    seen = []
+    kernel = census_module._classes
+
+    def counted(words, with_delay):
+        seen.append(words)
+        return kernel(words, with_delay)
+
+    monkeypatch.setattr(census_module, "_classes", counted)
+    census(profile, n, mode="enumeration")
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("profile,n", [((2,) * 6, 3), ((1, 1), 1000)], ids=["222222-3", "11-1000"])
+def test_orbit_key_tries_at_most_min_r_k_factorial_relabellings(monkeypatch, profile, n):
+    census_module = importlib.import_module("udcodes.census")
+    tries = collections.Counter()
+    for name in ("_first_occurrence", "_renamed"):
+
+        def counted(words, *rest, relabel=getattr(census_module, name)):
+            tries[frozenset(words)] += 1
+            return relabel(words, *rest)
+
+        monkeypatch.setattr(census_module, name, counted)
+    report = census(profile, n, mode="enumeration")
+    assert report.pr == report.fd == report.ud == math.perm(n ** profile[0], len(profile))
+    assert tries
+    r = len(profile)
+    for block, count in tries.items():
+        k = len({a for w in block for a in w})
+        assert count <= min(math.factorial(r), math.factorial(k)), (block, count)
 
 
 @pytest.mark.parametrize("mode", ("enumeration", "both"))
