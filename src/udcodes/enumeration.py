@@ -6,6 +6,7 @@ independent of the decision module's algorithms.
 
 from __future__ import annotations
 
+import collections
 import csv
 import heapq
 import itertools
@@ -186,82 +187,132 @@ class ProbeResult:
     witness: Optional[tuple[Word, Word]]
 
 
-# Entries of a probe state are (tag, word index, offset): some factorization
-# of the consumed stream starts with code word `tag` and is `offset` letters
-# into the word at `word index`.  Offset 0 means the word is about to start.
-_Entry = tuple[int, int, int]
-_ProbeState = frozenset[_Entry]
+class ProbeStateCapExceeded(CodesError):
+    """The delay probe's automaton has more states than its cap allows."""
 
-_PROBE_STATE_CAP = 200_000
+    def __init__(self, states: int, cap: int):
+        super().__init__("delay probe state space exceeded the safety cap")
+        self.states = states
+        self.cap = cap
 
 
-def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
+# A probe state is a set of (position, tag mask) pairs: the factorizations
+# whose first word is one of the bits of `tag mask` can stand at `position`
+# in the consumed stream.  Positions are small ints numbered by _probe_moves.
+_ProbeState = frozenset[tuple[int, int]]
+
+
+def _probe_moves(raw: list[tuple[int, ...]]) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """The probe's moves, moves[position] -> [(letter, next position)], and
+    the position of each first word before its first letter.
+
+    Position 0 is a boundary, the root of the trie of proper prefixes of the
+    code words; the other trie nodes are the letters read since the last
+    boundary.  Before the first boundary a factorization is inside its first
+    word i at offset k.  Where word i alone has i[:k] as a proper prefix,
+    that position and the trie node i[:k] accept the same streams and share
+    a number, so the states correspond one to one with sets of (first word,
+    word, offset) entries and the state graph does not depend on the
+    encoding."""
+    nodes = {(): 0}
+    for word in raw:
+        for k in range(1, len(word)):
+            nodes.setdefault(word[:k], len(nodes))
+    edges: list[set[tuple[int, int]]] = [set() for _ in nodes]
+    for word in raw:
+        for k in range(len(word)):
+            edges[nodes[word[:k]]].add((word[k], nodes[word[: k + 1]] if k + 1 < len(word) else 0))
+    moves = [sorted(out) for out in edges]
+    sharing = collections.Counter(word[:k] for word in raw for k in range(len(word)))
+    starts = []
+    for word in raw:
+        # inside this first word, from its end back to its start
+        position = 0
+        for k in reversed(range(len(word))):
+            if sharing[word[:k]] == 1:
+                position = nodes[word[:k]]
+            else:
+                moves.append([(word[k], position)])
+                position = len(moves) - 1
+        starts.append(position)
+    return moves, starts
+
+
+def bounded_delay_probe(code: Code, t_max: int, state_cap: int = 200_000) -> ProbeResult:
     """Decide the deciphering delay by direct stream simulation.
 
-    Runs the deterministic automaton over sets of (first word, position)
-    alternatives and measures how long two different first code words can
-    stay consistent with the same consumed stream.  The verdict is exact;
-    `unknown` is returned only when the exact delay exceeds t_max, which
-    cannot happen once t_max reaches safe_bound(code).  Because the set of
-    surviving first words only shrinks along a run, unbounded ambiguity
-    always shows up as a cycle among ambiguous states.  The finite witness is
-    the least first-word pair, in word order, of a deepest ambiguous state.
+    Runs the deterministic automaton over sets of alternatives and measures
+    how long two different first code words can stay consistent with the
+    same consumed stream.  An alternative is a position, either inside the
+    first word before its end or a node of the trie of proper prefixes of
+    the code words read since the last word boundary, with the bit set of
+    first words that reach it; each state holds one entry per position.  A
+    state is ambiguous when its entries carry at least two first words.
+    The verdict is exact; `unknown` is returned only when the exact delay
+    exceeds t_max, which cannot happen once t_max reaches safe_bound(code).
+    Because the set of surviving first words only shrinks along a run,
+    unbounded ambiguity always shows up as a cycle among ambiguous states.
+    A state's first-word pair is its two lowest-indexed first words; the
+    finite witness is the least pair, in word order, of a deepest ambiguous
+    state, and the infinite witness the least pair of an ambiguous state on
+    a cycle.  Raises ProbeStateCapExceeded when the automaton has more than
+    state_cap states.
     """
     words = code.words
     if len(set(words)) != len(words):
         raise CodesError("delay probe needs pairwise distinct words")
-    n = code.alphabet.size
-    raw = [tuple(word) for word in words]
+    moves, starts = _probe_moves([word.symbols for word in words])
 
-    def successor(state: _ProbeState, letter: int) -> _ProbeState:
-        nxt: set[_Entry] = set()
-        for tag, idx, offset in state:
-            if raw[idx][offset] != letter:
-                continue
-            if offset + 1 == len(raw[idx]):
-                nxt.update((tag, k, 0) for k in range(len(raw)))
-            else:
-                nxt.add((tag, idx, offset + 1))
-        return frozenset(nxt)
-
-    start: _ProbeState = frozenset((i, i, 0) for i in range(len(raw)))
-    adjacency: dict[_ProbeState, list[_ProbeState]] = {}
-    queue = [start]
-    while queue:
-        state = queue.pop()
-        if state in adjacency:
-            continue
+    start: _ProbeState = frozenset((position, 1 << i) for i, position in enumerate(starts))
+    states = [start]
+    ids = {start: 0}
+    adjacency: list[list[int]] = []
+    for state in states:
+        if len(states) > state_cap:
+            raise ProbeStateCapExceeded(len(states), state_cap)
+        by_letter: dict[int, dict[int, int]] = {}
+        for position, mask in state:
+            for letter, nxt in moves[position]:
+                moved = by_letter.get(letter)
+                if moved is None:
+                    moved = by_letter[letter] = {}
+                moved[nxt] = moved.get(nxt, 0) | mask
         targets = []
-        for letter in range(n):
-            nxt = successor(state, letter)
-            if nxt:
-                targets.append(nxt)
-        adjacency[state] = targets
-        queue.extend(t for t in targets if t not in adjacency)
-        if len(adjacency) > _PROBE_STATE_CAP:
-            raise CodesError("delay probe state space exceeded the safety cap")
+        for moved in by_letter.values():
+            nxt_state = frozenset(moved.items())
+            target = ids.get(nxt_state)
+            if target is None:
+                target = ids[nxt_state] = len(states)
+                states.append(nxt_state)
+            targets.append(target)
+        adjacency.append(targets)
 
-    def tags(state: _ProbeState) -> set[int]:
-        return {entry[0] for entry in state}
+    tags = [0] * len(states)
+    for s, state in enumerate(states):
+        for _, mask in state:
+            tags[s] |= mask
 
-    def first_pair(state: _ProbeState) -> tuple[Word, Word]:
-        first, second = sorted(tags(state))[:2]
-        return words[first], words[second]
+    def first_pair(s: int) -> tuple[Word, Word]:
+        mask = tags[s]
+        first = mask & -mask
+        second = mask ^ first
+        second &= -second
+        return words[first.bit_length() - 1], words[second.bit_length() - 1]
 
-    ambiguous = {s for s in adjacency if len(tags(s)) >= 2}
+    ambiguous = {s for s, mask in enumerate(tags) if mask & (mask - 1)}
     sub = {s: [t for t in adjacency[s] if t in ambiguous] for s in ambiguous}
     order = topological_order(sub)
     if order is None:
-        return ProbeResult("infinite", None, first_pair(min(cyclic_nodes(sub), key=sorted)))
+        return ProbeResult("infinite", None, min(map(first_pair, cyclic_nodes(sub))))
     if not ambiguous:
         return ProbeResult("finite", 0, None)
 
-    depth = {start: 0}
-    for state in order:
-        if state not in depth:
+    depth = {0: 0}
+    for s in order:
+        if s not in depth:
             continue
-        for nxt in sub[state]:
-            depth[nxt] = max(depth.get(nxt, -1), depth[state] + 1)
+        for nxt in sub[s]:
+            depth[nxt] = max(depth.get(nxt, -1), depth[s] + 1)
     delay = max(depth.values()) + 1
     if delay > t_max:
         return ProbeResult("unknown", None, None)

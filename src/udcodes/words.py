@@ -276,16 +276,17 @@ def parse_code_file(text: str) -> Code:
     parts = _strip_comment(lines[0]).split()
     if len(parts) != 2 or parts[0] != "alphabet":
         raise CodeFileError(f"line 1 must be 'alphabet <n>', got {lines[0]!r}", line=1)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise CodeFileError(f"line 1: alphabet size {parts[1]!r} is not an integer", line=1) from None
+    # int() would also take '1_0', '+3' and non-ASCII digits (say Arabic-Indic)
+    if not (parts[1].isascii() and parts[1].isdigit()):
+        raise CodeFileError(f"line 1: alphabet size {parts[1]!r} is not an integer", line=1)
+    size = parts[1].lstrip("0") or "0"
+    if len(size) > 2 or int(size) > len(GLYPHS):
+        raise CodeFileError(
+            f"line 1: alphabet size {size} exceeds the {len(GLYPHS)}-letter text form", line=1
+        )
+    n = int(size)
     if n < 2:
         raise CodeFileError(f"line 1: alphabet size must be >= 2, got {n}", line=1)
-    if n > len(GLYPHS):
-        raise CodeFileError(
-            f"line 1: alphabet size {n} exceeds the {len(GLYPHS)}-letter text form", line=1
-        )
     alphabet = Alphabet(n)
     words = []
     for lineno, raw in enumerate(lines[1:], start=2):

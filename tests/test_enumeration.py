@@ -3,11 +3,13 @@ import importlib
 import io
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from udcodes._graph import cyclic_nodes, topological_order
 from udcodes.census import UniverseTooLarge, census, universe_size
 from udcodes.decide import (
     Classification,
@@ -18,12 +20,15 @@ from udcodes.decide import (
 )
 from udcodes.enumeration import (
     BUILTIN_SUITE,
+    ProbeResult,
+    ProbeStateCapExceeded,
     bounded_delay_probe,
     enumerate_codes,
     safe_bound,
     two_factorization_search,
     write_classification_csv,
 )
+from udcodes.kraft import canonical_prefix_code
 from udcodes.words import Code, CodesError, Word
 
 
@@ -362,6 +367,110 @@ def test_probe_rejects_duplicate_words():
         bounded_delay_probe(code("0", "0"), 5)
 
 
+def test_probe_state_cap_is_a_parameter():
+    c = code("0", "10", "11")
+    assert bounded_delay_probe(c, 10, state_cap=_reference_probe(c, 10)[1]).delay == 2
+    with pytest.raises(ProbeStateCapExceeded) as info:
+        bounded_delay_probe(c, 10, state_cap=1)
+    assert isinstance(info.value, CodesError)
+    assert str(info.value) == "delay probe state space exceeded the safety cap"
+    assert info.value.cap == 1
+    assert info.value.states > 1
+
+
+def _reference_probe(c, t_max):
+    """The probe over sets of per-word entries (first word, word, offset),
+    where a word that ends adds one entry per code word: its ProbeResult and
+    its number of states."""
+    words = c.words
+    raw = [w.symbols for w in words]
+
+    def successor(state, letter):
+        nxt = set()
+        for tag, idx, offset in state:
+            if raw[idx][offset] == letter:
+                if offset + 1 == len(raw[idx]):
+                    nxt.update((tag, k, 0) for k in range(len(raw)))
+                else:
+                    nxt.add((tag, idx, offset + 1))
+        return frozenset(nxt)
+
+    start = frozenset((i, i, 0) for i in range(len(raw)))
+    adjacency = {}
+    queue = [start]
+    while queue:
+        state = queue.pop()
+        if state not in adjacency:
+            targets = (successor(state, a) for a in range(c.alphabet.size))
+            adjacency[state] = [t for t in targets if t]
+            queue.extend(adjacency[state])
+
+    def first_pair(state):
+        first, second = sorted({tag for tag, _, _ in state})[:2]
+        return words[first], words[second]
+
+    ambiguous = {s for s in adjacency if len({tag for tag, _, _ in s}) >= 2}
+    sub = {s: [t for t in adjacency[s] if t in ambiguous] for s in ambiguous}
+    order = topological_order(sub)
+    if order is None:
+        witness = min(map(first_pair, cyclic_nodes(sub)))
+        return ProbeResult("infinite", None, witness), len(adjacency)
+    depth = {start: 0} if ambiguous else {}
+    for state in order:
+        for nxt in sub[state] if state in depth else ():
+            depth[nxt] = max(depth.get(nxt, -1), depth[state] + 1)
+    delay = max(depth.values(), default=-1) + 1
+    if delay > t_max:
+        return ProbeResult("unknown", None, None), len(adjacency)
+    witness = min((first_pair(s) for s, d in depth.items() if d + 1 == delay), default=None)
+    return ProbeResult("finite", delay, witness), len(adjacency)
+
+
+def _assert_probe_matches_reference(c, t_max):
+    expected, states = _reference_probe(c, t_max)
+    assert bounded_delay_probe(c, t_max, state_cap=states) == expected, c.texts()
+    with pytest.raises(ProbeStateCapExceeded):
+        bounded_delay_probe(c, t_max, state_cap=states - 1)
+
+
+PROBE_DIFFERENTIAL = [
+    (p, n) for n in (2, 3) for p in BUILTIN_SUITE if universe_size(p, n) <= 7000
+] + [(p, 2) for p in sorted(set(itertools.permutations((2, 2, 3, 4))))]
+
+
+@pytest.mark.parametrize(
+    "profile,n", PROBE_DIFFERENTIAL, ids=[f"{p}-{n}" for p, n in PROBE_DIFFERENTIAL]
+)
+def test_probe_matches_per_word_reference(profile, n):
+    """Result and state count on every injective code of the profile."""
+    for c in enumerate_codes(profile, n):
+        if len(set(c.words)) == len(c.words):
+            _assert_probe_matches_reference(c, safe_bound(c))
+
+
+def test_probe_witness_rules():
+    """The infinite witness is the least first-word pair, in word order, of
+    the ambiguous states on a cycle, as the finite one is of the deepest."""
+    result = bounded_delay_probe(code("00", "10", "100", "1000"), 20)
+    assert result.verdict == "infinite"
+    assert tuple(w.text() for w in result.witness) == ("10", "100")
+
+
+def test_probe_memory_on_a_reversed_canonical_code():
+    """The reversed canonical code 4^12 5^8: about 2.8 MB of traced peak
+    memory with one entry per trie node, 23.9 MB with one entry per word
+    per surviving first word."""
+    c = canonical_prefix_code((4,) * 12 + (5,) * 8, 2).reverse()
+    tracemalloc.start()
+    try:
+        result = bounded_delay_probe(c, safe_bound(c))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.verdict == "infinite"
+    assert peak < 6 * 10**6
+
+
 def test_ud_count_is_reversal_invariant():
     for profile in ((1, 2, 2), (2, 2, 3), (1, 2, 4)):
         forward = sum(1 for c in enumerate_codes(profile, 2) if classify(c).ud)
@@ -424,6 +533,12 @@ def test_probe_agrees_with_exact_delay(c):
         assert report.delay == probed.delay
     else:
         assert not report.finite
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_codes, st.integers(1, 12))
+def test_probe_matches_per_word_reference_on_random_codes(c, t_max):
+    _assert_probe_matches_reference(c, t_max)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udcodes.words import (
     Alphabet,
@@ -180,3 +182,38 @@ def test_code_file_bad_word_position():
 def test_code_file_no_words():
     with pytest.raises(CodeFileError):
         parse_code_file("alphabet 2\n# nothing\n")
+
+
+@pytest.mark.parametrize("size", ("1_0", "\u0663", "+3"))
+def test_code_file_alphabet_size_is_ascii_decimal(size):
+    with pytest.raises(CodeFileError) as info:
+        parse_code_file(f"alphabet {size}\n0\n")
+    assert info.value.line == 1
+
+
+def test_code_file_alphabet_size_range():
+    assert parse_code_file("alphabet 03\n2\n").alphabet.size == 3
+    for size in ("0040", "9" * 5000):
+        with pytest.raises(CodeFileError, match=r"alphabet size 9*4?0* exceeds the 36-letter"):
+            parse_code_file(f"alphabet {size}\n0\n")
+
+
+# Text near the file format: a header with an arbitrary size token, then
+# lines of glyphs, comments, blanks and stray characters.
+_near_code_files = st.builds(
+    lambda head, size, body: f"{head} {size}\n" + "\n".join(body),
+    st.sampled_from(["alphabet", "alphabet ", "alpha", ""]),
+    st.one_of(st.integers(-5, 60).map(str), st.text(max_size=6)),
+    st.lists(st.text(alphabet="0123abz #\t\u0663\u2028_", max_size=8), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _near_code_files))
+def test_code_file_parser_gives_a_code_or_a_code_file_error(text):
+    try:
+        code = parse_code_file(text)
+    except CodeFileError:
+        return
+    assert isinstance(code, Code)
+    assert parse_code_file(code_to_text(code)) == code
