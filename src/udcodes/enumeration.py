@@ -187,6 +187,10 @@ class ProbeResult:
     witness: Optional[tuple[Word, Word]]
 
 
+# The most states the delay probe's automaton may have.
+_PROBE_STATE_CAP = 200_000
+
+
 class ProbeStateCapExceeded(CodesError):
     """The delay probe's automaton has more states than its cap allows."""
 
@@ -238,7 +242,7 @@ def _probe_moves(raw: list[tuple[int, ...]]) -> tuple[list[list[tuple[int, int]]
     return moves, starts
 
 
-def bounded_delay_probe(code: Code, t_max: int, state_cap: int = 200_000) -> ProbeResult:
+def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
     """Decide the deciphering delay by direct stream simulation.
 
     Runs the deterministic automaton over sets of alternatives and measures
@@ -256,7 +260,7 @@ def bounded_delay_probe(code: Code, t_max: int, state_cap: int = 200_000) -> Pro
     finite witness is the least pair, in word order, of a deepest ambiguous
     state, and the infinite witness the least pair of an ambiguous state on
     a cycle.  Raises ProbeStateCapExceeded when the automaton has more than
-    state_cap states.
+    _PROBE_STATE_CAP states.
     """
     words = code.words
     if len(set(words)) != len(words):
@@ -268,8 +272,8 @@ def bounded_delay_probe(code: Code, t_max: int, state_cap: int = 200_000) -> Pro
     ids = {start: 0}
     adjacency: list[list[int]] = []
     for state in states:
-        if len(states) > state_cap:
-            raise ProbeStateCapExceeded(len(states), state_cap)
+        if len(states) > _PROBE_STATE_CAP:
+            raise ProbeStateCapExceeded(len(states), _PROBE_STATE_CAP)
         by_letter: dict[int, dict[int, int]] = {}
         for position, mask in state:
             for letter, nxt in moves[position]:

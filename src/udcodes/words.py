@@ -276,15 +276,21 @@ def parse_code_file(text: str) -> Code:
     parts = _strip_comment(lines[0]).split()
     if len(parts) != 2 or parts[0] != "alphabet":
         raise CodeFileError(f"line 1 must be 'alphabet <n>', got {lines[0]!r}", line=1)
+    size = parts[1]
+    negative = size.startswith("-")
+    digits = size[negative:]
     # int() would also take '1_0', '+3' and non-ASCII digits (say Arabic-Indic)
-    if not (parts[1].isascii() and parts[1].isdigit()):
-        raise CodeFileError(f"line 1: alphabet size {parts[1]!r} is not an integer", line=1)
-    size = parts[1].lstrip("0") or "0"
-    if len(size) > 2 or int(size) > len(GLYPHS):
+    if not (digits.isascii() and digits.isdigit()):
+        raise CodeFileError(f"line 1: alphabet size {size!r} is not a decimal number", line=1)
+    digits = digits.lstrip("0") or "0"
+    if negative and digits != "0":
+        raise CodeFileError(f"line 1: alphabet size must be >= 2, got -{digits}", line=1)
+    # lengths first: int() refuses a size of thousands of digits
+    if len(digits) > len(str(len(GLYPHS))) or int(digits) > len(GLYPHS):
         raise CodeFileError(
-            f"line 1: alphabet size {size} exceeds the {len(GLYPHS)}-letter text form", line=1
+            f"line 1: alphabet size {digits} exceeds the {len(GLYPHS)}-letter text form", line=1
         )
-    n = int(size)
+    n = int(digits)
     if n < 2:
         raise CodeFileError(f"line 1: alphabet size must be >= 2, got {n}", line=1)
     alphabet = Alphabet(n)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from udcodes import enumeration
 from udcodes._graph import cyclic_nodes, topological_order
 from udcodes.census import UniverseTooLarge, census, universe_size
 from udcodes.decide import (
@@ -367,11 +368,13 @@ def test_probe_rejects_duplicate_words():
         bounded_delay_probe(code("0", "0"), 5)
 
 
-def test_probe_state_cap_is_a_parameter():
+def test_probe_state_cap(monkeypatch):
     c = code("0", "10", "11")
-    assert bounded_delay_probe(c, 10, state_cap=_reference_probe(c, 10)[1]).delay == 2
+    monkeypatch.setattr(enumeration, "_PROBE_STATE_CAP", _reference_probe(c, 10)[1])
+    assert bounded_delay_probe(c, 10).delay == 2
+    monkeypatch.setattr(enumeration, "_PROBE_STATE_CAP", 1)
     with pytest.raises(ProbeStateCapExceeded) as info:
-        bounded_delay_probe(c, 10, state_cap=1)
+        bounded_delay_probe(c, 10)
     assert isinstance(info.value, CodesError)
     assert str(info.value) == "delay probe state space exceeded the safety cap"
     assert info.value.cap == 1
@@ -426,26 +429,38 @@ def _reference_probe(c, t_max):
     return ProbeResult("finite", delay, witness), len(adjacency)
 
 
-def _assert_probe_matches_reference(c, t_max):
+def _assert_probe_matches_reference(c, t_max, count_states):
+    """An equal ProbeResult; with count_states also an equal number of
+    states: the probe stays within a cap of the reference's count and
+    exceeds a cap of one less."""
     expected, states = _reference_probe(c, t_max)
-    assert bounded_delay_probe(c, t_max, state_cap=states) == expected, c.texts()
-    with pytest.raises(ProbeStateCapExceeded):
-        bounded_delay_probe(c, t_max, state_cap=states - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        if count_states:
+            patch.setattr(enumeration, "_PROBE_STATE_CAP", states)
+        assert bounded_delay_probe(c, t_max) == expected, c.texts()
+        if count_states:
+            patch.setattr(enumeration, "_PROBE_STATE_CAP", states - 1)
+            with pytest.raises(ProbeStateCapExceeded):
+                bounded_delay_probe(c, t_max)
 
 
+# State counts are compared on the suite's profiles at n=2 and on (2,2,3,4).
 PROBE_DIFFERENTIAL = [
-    (p, n) for n in (2, 3) for p in BUILTIN_SUITE if universe_size(p, n) <= 7000
-] + [(p, 2) for p in sorted(set(itertools.permutations((2, 2, 3, 4))))]
+    (p, n, n == 2) for n in (2, 3) for p in BUILTIN_SUITE if universe_size(p, n) <= 7000
+] + [(p, 2, p == (2, 2, 3, 4)) for p in sorted(set(itertools.permutations((2, 2, 3, 4))))]
 
 
 @pytest.mark.parametrize(
-    "profile,n", PROBE_DIFFERENTIAL, ids=[f"{p}-{n}" for p, n in PROBE_DIFFERENTIAL]
+    "profile,n,count_states",
+    PROBE_DIFFERENTIAL,
+    ids=[f"{p}-{n}" for p, n, _ in PROBE_DIFFERENTIAL],
 )
-def test_probe_matches_per_word_reference(profile, n):
-    """Result and state count on every injective code of the profile."""
+def test_probe_matches_per_word_reference(profile, n, count_states):
+    """Result, and on some profiles the state count, on every injective
+    code of the profile."""
     for c in enumerate_codes(profile, n):
         if len(set(c.words)) == len(c.words):
-            _assert_probe_matches_reference(c, safe_bound(c))
+            _assert_probe_matches_reference(c, safe_bound(c), count_states)
 
 
 def test_probe_witness_rules():
@@ -538,7 +553,7 @@ def test_probe_agrees_with_exact_delay(c):
 @settings(max_examples=200, deadline=None)
 @given(small_codes, st.integers(1, 12))
 def test_probe_matches_per_word_reference_on_random_codes(c, t_max):
-    _assert_probe_matches_reference(c, t_max)
+    _assert_probe_matches_reference(c, t_max, count_states=True)
 
 
 @settings(max_examples=200, deadline=None)

@@ -196,6 +196,11 @@ def test_code_file_alphabet_size_range():
     for size in ("0040", "9" * 5000):
         with pytest.raises(CodeFileError, match=r"alphabet size 9*4?0* exceeds the 36-letter"):
             parse_code_file(f"alphabet {size}\n0\n")
+    for size, shown in (("-3", "-3"), ("-0", "0"), ("1", "1"), ("-" + "9" * 5000, "-9+")):
+        with pytest.raises(CodeFileError, match=f"alphabet size must be >= 2, got {shown}$"):
+            parse_code_file(f"alphabet {size}\n0\n")
+    with pytest.raises(CodeFileError, match="alphabet size '-' is not a decimal number"):
+        parse_code_file("alphabet -\n0\n")
 
 
 # Text near the file format: a header with an arbitrary size token, then
