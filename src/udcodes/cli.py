@@ -11,6 +11,7 @@ Exit status: 0 ok, 1 verification discrepancy, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -50,12 +51,53 @@ from .words import Code, CodeFileError, CodesError, code_to_text, parse_code_fil
 ENV_CAP = "CODES_UNIVERSE_CAP"
 
 
+# Ints up to this many bits are rendered by str(); it is quadratic in the
+# length, so longer ones are split in halves and rebuilt as a Decimal.
+_STR_BITS = 2**14
+
+
+def _decimal_text(value: int) -> str:
+    """str(value), in time near-linear in its length."""
+    if value.bit_length() <= _STR_BITS:
+        return str(value)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(bits: int) -> decimal.Decimal:  # 2 ** bits
+        result = powers.get(bits)
+        if result is None:
+            if bits <= _STR_BITS:
+                result = decimal.Decimal(1 << bits)
+            else:
+                result = power(bits >> 1) * power(bits - (bits >> 1))
+            powers[bits] = result
+        return result
+
+    def convert(n: int, bits: int) -> decimal.Decimal:
+        if bits <= _STR_BITS:
+            return decimal.Decimal(n)
+        low = bits >> 1
+        high = n >> low
+        return convert(n - (high << low), low) + convert(high, bits - low) * power(low)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(value), value.bit_length()))
+    return "-" + text if value < 0 else text
+
+
 def _s(value: Any) -> Any:
     """Numbers to decimal strings, recursively; leaves bools/None/str alone."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
-    if isinstance(value, (int, Fraction)):
-        return str(value)
+    if isinstance(value, int):
+        return _decimal_text(value)
+    if isinstance(value, Fraction):
+        numerator = _decimal_text(value.numerator)
+        if value.denominator == 1:
+            return numerator
+        return f"{numerator}/{_decimal_text(value.denominator)}"
     if isinstance(value, dict):
         return {k: _s(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -122,9 +164,26 @@ def _classification_payload(code: Code) -> dict:
     }
 
 
+def _read_ascii(path: str) -> str:
+    """The text of an input file; a CodeFileError names the line and column
+    of its first byte that is not ASCII."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the offending byte stands where "x" is appended
+        lines = (data[: exc.start].decode("ascii") + "x").splitlines()
+        line, column = len(lines), len(lines[-1])
+        raise CodeFileError(
+            f"line {line}, column {column}: byte 0x{data[exc.start]:02x} is not ASCII",
+            line=line,
+            column=column,
+        ) from None
+
+
 def cmd_check(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
     inputs = {"file": args.file, "trace": args.trace, "delay": args.delay}
-    text = Path(args.file).read_text(encoding="ascii")
+    text = _read_ascii(args.file)
     code = parse_code_file(text)
     trace = sardinas_patterson(code)
     results: dict = {
@@ -219,7 +278,7 @@ def cmd_witness(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
 
 def _read_suite(path: str) -> tuple[tuple[int, ...], ...]:
     rows = []
-    for raw in Path(path).read_text(encoding="ascii").splitlines():
+    for raw in _read_ascii(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             rows.append(_parse_lengths(line))

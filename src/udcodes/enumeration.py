@@ -93,9 +93,7 @@ def safe_bound(code: Code) -> int:
     The pigeonhole grid is (|S| + 1) states wide and advances at least one
     leader word, hence at most max-word-length letters, per step.
     """
-    suffixes = {
-        word[k:] for word in code.words for k in range(1, len(word))
-    }
+    suffixes = {word.symbols[k:] for word in code.words for k in range(1, len(word))}
     longest = max(len(word) for word in code.words)
     return (len(suffixes) + 1) * longest
 
@@ -187,7 +185,8 @@ class ProbeResult:
     witness: Optional[tuple[Word, Word]]
 
 
-# The most states the delay probe's automaton may have.
+# The most ambiguous states (two or more first words) the delay probe may
+# build; the states with one first word left are never built.
 _PROBE_STATE_CAP = 200_000
 
 
@@ -252,26 +251,32 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
     the code words read since the last word boundary, with the bit set of
     first words that reach it; each state holds one entry per position.  A
     state is ambiguous when its entries carry at least two first words.
-    The verdict is exact; `unknown` is returned only when the exact delay
-    exceeds t_max, which cannot happen once t_max reaches safe_bound(code).
-    Because the set of surviving first words only shrinks along a run,
-    unbounded ambiguity always shows up as a cycle among ambiguous states.
+    Because the set of surviving first words only shrinks along a run, a
+    successor with one first word left leads only to such states and bears
+    on neither the verdict, the delay nor a witness: it is dropped as it is
+    met, and only ambiguous states are built.  Unbounded ambiguity shows up
+    as a cycle among them.  The verdict is exact; `unknown` is returned
+    only when the exact delay exceeds t_max, which cannot happen once t_max
+    reaches safe_bound(code).
     A state's first-word pair is its two lowest-indexed first words; the
     finite witness is the least pair, in word order, of a deepest ambiguous
     state, and the infinite witness the least pair of an ambiguous state on
     a cycle.  Raises ProbeStateCapExceeded when the automaton has more than
-    _PROBE_STATE_CAP states.
+    _PROBE_STATE_CAP ambiguous states.
     """
     words = code.words
     if len(set(words)) != len(words):
         raise CodesError("delay probe needs pairwise distinct words")
+    if len(words) < 2:
+        return ProbeResult("finite", 0, None)
     moves, starts = _probe_moves([word.symbols for word in words])
 
     start: _ProbeState = frozenset((position, 1 << i) for i, position in enumerate(starts))
     states = [start]
+    tags = [(1 << len(words)) - 1]
     ids = {start: 0}
-    adjacency: list[list[int]] = []
-    for state in states:
+    sub: dict[int, list[int]] = {}
+    for s, state in enumerate(states):
         if len(states) > _PROBE_STATE_CAP:
             raise ProbeStateCapExceeded(len(states), _PROBE_STATE_CAP)
         by_letter: dict[int, dict[int, int]] = {}
@@ -283,18 +288,19 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
                 moved[nxt] = moved.get(nxt, 0) | mask
         targets = []
         for moved in by_letter.values():
+            tag = 0
+            for mask in moved.values():
+                tag |= mask
+            if not tag & (tag - 1):
+                continue
             nxt_state = frozenset(moved.items())
             target = ids.get(nxt_state)
             if target is None:
                 target = ids[nxt_state] = len(states)
                 states.append(nxt_state)
+                tags.append(tag)
             targets.append(target)
-        adjacency.append(targets)
-
-    tags = [0] * len(states)
-    for s, state in enumerate(states):
-        for _, mask in state:
-            tags[s] |= mask
+        sub[s] = targets
 
     def first_pair(s: int) -> tuple[Word, Word]:
         mask = tags[s]
@@ -303,22 +309,17 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
         second &= -second
         return words[first.bit_length() - 1], words[second.bit_length() - 1]
 
-    ambiguous = {s for s, mask in enumerate(tags) if mask & (mask - 1)}
-    sub = {s: [t for t in adjacency[s] if t in ambiguous] for s in ambiguous}
     order = topological_order(sub)
     if order is None:
         return ProbeResult("infinite", None, min(map(first_pair, cyclic_nodes(sub))))
-    if not ambiguous:
-        return ProbeResult("finite", 0, None)
 
-    depth = {0: 0}
+    # every state is reached from the start, which comes first in `order`
+    depth = [0] * len(states)
     for s in order:
-        if s not in depth:
-            continue
         for nxt in sub[s]:
-            depth[nxt] = max(depth.get(nxt, -1), depth[s] + 1)
-    delay = max(depth.values()) + 1
+            depth[nxt] = max(depth[nxt], depth[s] + 1)
+    delay = max(depth) + 1
     if delay > t_max:
         return ProbeResult("unknown", None, None)
-    witness = min(first_pair(s) for s, d in depth.items() if d + 1 == delay)
+    witness = min(first_pair(s) for s, d in enumerate(depth) if d + 1 == delay)
     return ProbeResult("finite", delay, witness)

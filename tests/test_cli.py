@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +81,19 @@ def test_check_bad_glyph_reports_position(tmp_path):
     assert payload["status"] == "error"
     assert payload["error"]["line"] == "3"
     assert payload["error"]["column"] == "1"
+
+
+def test_check_non_ascii_byte_reports_position(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"alphabet 2\n10\n1\xff0\n")
+    rc, payload = run_json("check", str(path))
+    assert rc == 2
+    assert payload["status"] == "error"
+    assert payload["error"] == {
+        "message": "line 3, column 2: byte 0xff is not ASCII",
+        "line": "3",
+        "column": "2",
+    }
 
 
 def test_check_missing_file():
@@ -225,6 +239,16 @@ def test_verify_custom_suite(tmp_path):
     assert {e["profile"] for e in results["checks"]} == {"2,3,3"}
 
 
+def test_verify_suite_with_non_ascii_byte_reports_line(tmp_path):
+    suite = tmp_path / "suite.txt"
+    suite.write_bytes(b"2,3,3\r\n\xff\n")
+    rc, payload = run_json("verify", "--suite", str(suite))
+    assert rc == 2
+    assert payload["status"] == "error"
+    assert payload["error"]["line"] == "2"
+    assert payload["error"]["column"] == "1"
+
+
 def test_verify_empty_suite(tmp_path):
     suite = tmp_path / "empty.txt"
     suite.write_text("# nothing here\n")
@@ -296,6 +320,24 @@ def int_digit_limit():
 def digits(power):
     """Decimal digit count of 2**power, without rendering it."""
     return math.floor(power * math.log10(2)) + 1
+
+
+def test_decimal_text_matches_str(int_digit_limit):
+    """Large ints are rendered by halves through decimal, digit for digit
+    as str() renders them."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    values = [0, 1, 7, 10**9]
+    limit = cli._STR_BITS
+    for bits in (100, limit - 1, limit, limit + 1, 3 * limit + 5, 200_000):
+        values += [(1 << bits) - 1, 1 << bits, (1 << bits) + 12345, 3**bits]
+    values += [10**k for k in (4931, 4932, 4933, 10_000, 12_345, 60_206)]
+    values += [10**k - 1 for k in (10_000, 60_206)]
+    for value in values:
+        assert cli._decimal_text(value) == str(value)
+        assert cli._decimal_text(-value) == str(-value)
+    assert cli._s(Fraction(-(3**40_000), 2**40_000)) == str(Fraction(-(3**40_000), 2**40_000))
+    assert cli._s(Fraction(10**20_000)) == str(10**20_000)
 
 
 def test_count_reports_a_universe_of_any_size(int_digit_limit):

@@ -311,6 +311,14 @@ def test_safe_bound():
     assert safe_bound(code("00", "000", "001")) == 15
 
 
+def test_safe_bound_matches_word_suffix_definition():
+    """The horizon from symbol tuples equals the one from Word suffixes."""
+    for profile in BUILTIN_SUITE:
+        for c in enumerate_codes(profile, 2):
+            suffixes = {w[k:] for w in c.words for k in range(1, len(w))}
+            assert safe_bound(c) == (len(suffixes) + 1) * max(map(len, c.words)), c.texts()
+
+
 def test_two_factorization_search():
     stream, first, second = two_factorization_search(code("0", "01", "10"), 8)
     assert stream == Word((0, 1, 0))
@@ -383,8 +391,8 @@ def test_probe_state_cap(monkeypatch):
 
 def _reference_probe(c, t_max):
     """The probe over sets of per-word entries (first word, word, offset),
-    where a word that ends adds one entry per code word: its ProbeResult and
-    its number of states."""
+    where a word that ends adds one entry per code word: its ProbeResult,
+    its number of ambiguous states and its number of states."""
     words = c.words
     raw = [w.symbols for w in words]
 
@@ -417,34 +425,34 @@ def _reference_probe(c, t_max):
     order = topological_order(sub)
     if order is None:
         witness = min(map(first_pair, cyclic_nodes(sub)))
-        return ProbeResult("infinite", None, witness), len(adjacency)
+        return ProbeResult("infinite", None, witness), len(ambiguous), len(adjacency)
     depth = {start: 0} if ambiguous else {}
     for state in order:
         for nxt in sub[state] if state in depth else ():
             depth[nxt] = max(depth.get(nxt, -1), depth[state] + 1)
     delay = max(depth.values(), default=-1) + 1
     if delay > t_max:
-        return ProbeResult("unknown", None, None), len(adjacency)
+        return ProbeResult("unknown", None, None), len(ambiguous), len(adjacency)
     witness = min((first_pair(s) for s, d in depth.items() if d + 1 == delay), default=None)
-    return ProbeResult("finite", delay, witness), len(adjacency)
+    return ProbeResult("finite", delay, witness), len(ambiguous), len(adjacency)
 
 
 def _assert_probe_matches_reference(c, t_max, count_states):
     """An equal ProbeResult; with count_states also an equal number of
-    states: the probe stays within a cap of the reference's count and
-    exceeds a cap of one less."""
-    expected, states = _reference_probe(c, t_max)
+    ambiguous states: the probe stays within a cap of the reference's count
+    and exceeds a cap of one less, unless it builds none (a one-word code)."""
+    expected, states, _ = _reference_probe(c, t_max)
     with pytest.MonkeyPatch.context() as patch:
         if count_states:
             patch.setattr(enumeration, "_PROBE_STATE_CAP", states)
         assert bounded_delay_probe(c, t_max) == expected, c.texts()
-        if count_states:
+        if count_states and states:
             patch.setattr(enumeration, "_PROBE_STATE_CAP", states - 1)
             with pytest.raises(ProbeStateCapExceeded):
                 bounded_delay_probe(c, t_max)
 
 
-# State counts are compared on the suite's profiles at n=2 and on (2,2,3,4).
+# Ambiguous-state counts are compared on the suite's profiles at n=2 and on (2,2,3,4).
 PROBE_DIFFERENTIAL = [
     (p, n, n == 2) for n in (2, 3) for p in BUILTIN_SUITE if universe_size(p, n) <= 7000
 ] + [(p, 2, p == (2, 2, 3, 4)) for p in sorted(set(itertools.permutations((2, 2, 3, 4))))]
@@ -463,6 +471,19 @@ def test_probe_matches_per_word_reference(profile, n, count_states):
             _assert_probe_matches_reference(c, safe_bound(c), count_states)
 
 
+@pytest.mark.parametrize("texts", [("11", "1101", "010"), ("10", "100", "000")])
+def test_probe_builds_no_unambiguous_state(monkeypatch, texts):
+    """A state with one first word left is never built: the probe gives its
+    verdict under a cap of the full automaton's ambiguous states alone."""
+    c = code(*texts)
+    expected, ambiguous, states = _reference_probe(c, 20)
+    assert ambiguous < states
+    monkeypatch.setattr(enumeration, "_PROBE_STATE_CAP", ambiguous)
+    assert bounded_delay_probe(c, 20) == expected
+    monkeypatch.setattr(enumeration, "_PROBE_STATE_CAP", 0)
+    assert bounded_delay_probe(code(texts[0]), 20) == ProbeResult("finite", 0, None)
+
+
 def test_probe_witness_rules():
     """The infinite witness is the least first-word pair, in word order, of
     the ambiguous states on a cycle, as the finite one is of the deepest."""
@@ -472,9 +493,9 @@ def test_probe_witness_rules():
 
 
 def test_probe_memory_on_a_reversed_canonical_code():
-    """The reversed canonical code 4^12 5^8: about 2.8 MB of traced peak
-    memory with one entry per trie node, 23.9 MB with one entry per word
-    per surviving first word."""
+    """The reversed canonical code 4^12 5^8: about 1.2 MB of traced peak
+    memory building only the ambiguous states, 2.9 MB building every state,
+    23.9 MB with one entry per word per surviving first word."""
     c = canonical_prefix_code((4,) * 12 + (5,) * 8, 2).reverse()
     tracemalloc.start()
     try:
@@ -483,7 +504,7 @@ def test_probe_memory_on_a_reversed_canonical_code():
     finally:
         tracemalloc.stop()
     assert result.verdict == "infinite"
-    assert peak < 6 * 10**6
+    assert peak < 2 * 10**6
 
 
 def test_ud_count_is_reversal_invariant():
