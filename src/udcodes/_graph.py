@@ -49,15 +49,20 @@ def _is_cyclic(adjacency: Mapping[N, Iterable[N]], component: list[N]) -> bool:
     return len(component) > 1 or component[0] in adjacency.get(component[0], ())
 
 
+def order_and_cycles(adjacency: Mapping[N, Iterable[N]]) -> tuple[Optional[list[N]], set[N]]:
+    """(topological_order(adjacency), cyclic_nodes(adjacency)), read off one
+    pass."""
+    components = _components(adjacency)
+    cyclic = {node for c in components if _is_cyclic(adjacency, c) for node in c}
+    order = None if cyclic else [component[0] for component in reversed(components)]
+    return order, cyclic
+
+
 def cyclic_nodes(adjacency: Mapping[N, Iterable[N]]) -> set[N]:
     """Nodes lying on some directed cycle (i.e. reachable from themselves)."""
-    components = _components(adjacency)
-    return {node for c in components if _is_cyclic(adjacency, c) for node in c}
+    return order_and_cycles(adjacency)[1]
 
 
 def topological_order(adjacency: Mapping[N, Iterable[N]]) -> Optional[list[N]]:
     """Every node once, each before its successors; None if there is a cycle."""
-    components = _components(adjacency)
-    if any(_is_cyclic(adjacency, component) for component in components):
-        return None
-    return [component[0] for component in reversed(components)]
+    return order_and_cycles(adjacency)[0]

@@ -1,5 +1,5 @@
-"""Class sizes: closed-form code counts, the exhaustive census (on raw word
-tuples, never a Code), the quotient lower bound on |UD|/|PR|, and the
+"""Class sizes: closed-form code counts, the exhaustive census (on packed
+words, never a Code), the quotient lower bound on |UD|/|PR|, and the
 predicates for when the prefix / finite-delay classes exhaust the UD ones.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .decide import RawWord, _classes
+from .decide import RawWord, _classes, _letter_width, _pack, _packed_pool
 from .kraft import (
     check_power_bits,
     count_prefix_codes,
@@ -224,25 +224,26 @@ def _orbits(v: int, r: int, n: int) -> list[list]:
 
 def _enumerated_counts(p: LengthProfile, n: int, cap: int) -> tuple[int, int, int]:
     _checked_alphabet(p.lengths, n, cap)
-    later = [(_raw_pool(v, n), r) for v, r in zip(p.values[1:], p.multiplicities[1:])]
+    width = _letter_width(n)
+    later = [(_packed_pool(v, n), r) for v, r in zip(p.values[1:], p.multiplicities[1:])]
     counts = [0, 0, 0]
 
-    def visit(depth: int, code: tuple[RawWord, ...], weight: int) -> None:
+    def visit(depth: int, code: tuple[int, ...], weight: int) -> None:
         """Count `code`, one set of words from each of the first depth + 1
         blocks, if it is complete, else its completions if it is UD (a set
         of equal length words always is)."""
         if depth == len(later):
-            prefix, ud, finite, _ = _classes(code, with_delay=False)
+            prefix, ud, finite, _ = _classes(code, None)
             counts[0] += weight * prefix
             counts[1] += weight * finite
             counts[2] += weight * ud
-        elif depth == 0 or _classes(code, with_delay=False)[1]:
+        elif depth == 0 or _classes(code, None)[1]:
             pool, r = later[depth]
             for block in itertools.combinations(pool, r):
                 visit(depth + 1, code + block, weight)
 
     for first, size in _orbits(p.values[0], p.multiplicities[0], n):
-        visit(0, first, size)
+        visit(0, tuple(_pack(w, width) for w in first), size)
     weight = math.prod(map(math.factorial, p.multiplicities))
     return tuple(weight * count for count in counts)
 

@@ -46,7 +46,7 @@ from .kraft import (
     kraft_sum,
     ud_nonprefix_witness,
 )
-from .words import Code, CodeFileError, CodesError, code_to_text, parse_code_file
+from .words import Code, CodeFileError, CodesError, code_to_text, parse_code_file, parse_decimal
 
 ENV_CAP = "CODES_UNIVERSE_CAP"
 
@@ -105,24 +105,40 @@ def _s(value: Any) -> Any:
     raise TypeError(f"unexpected report value {value!r}")
 
 
+# Every number the CLI reads (options, suite-file lines, CODES_UNIVERSE_CAP)
+# is ASCII decimal digits after an optional minus sign, as in code files; in a
+# comma-separated list, blanks around each number are allowed.
+
+
+def _decimal_list(text: str) -> tuple[int, ...]:
+    return tuple(parse_decimal(part.strip(" \t")) for part in text.split(","))
+
+
+def _decimal_arg(text: str) -> int:
+    """argparse type of the integer options."""
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected decimal digits, got {text!r}") from None
+
+
 def _parse_lengths(text: str) -> tuple[int, ...]:
     try:
-        lengths = tuple(int(part) for part in text.split(","))
+        lengths = _decimal_list(text)
     except ValueError:
-        raise CodesError(f"--lengths expects comma-separated integers, got {text!r}")
-    if not lengths or any(a < 1 for a in lengths):
+        raise CodesError(f"--lengths expects comma-separated integers, got {text!r}") from None
+    if any(a < 1 for a in lengths):
         raise CodesError(f"--lengths values must be positive, got {text!r}")
     return lengths
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
+    if text.count(",") != 1:
         raise CodesError(f"--anchored expects two comma-separated lengths, got {text!r}")
     try:
-        a, b = (int(p) for p in parts)
+        a, b = _decimal_list(text)
     except ValueError:
-        raise CodesError(f"--anchored expects integers, got {text!r}")
+        raise CodesError(f"--anchored expects integers, got {text!r}") from None
     return a, b
 
 
@@ -471,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count code classes for a length sequence")
     p_count.add_argument("--lengths", required=True, help="comma-separated word lengths")
-    p_count.add_argument("--alphabet", required=True, type=int, help="alphabet size n")
+    p_count.add_argument("--alphabet", required=True, type=_decimal_arg, help="alphabet size n")
     p_count.add_argument(
         "--method",
         choices=("formula", "enumerate", "both"),
@@ -494,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which kind of code to construct",
     )
     p_witness.add_argument("--lengths", required=True, help="comma-separated word lengths")
-    p_witness.add_argument("--alphabet", required=True, type=int, help="alphabet size n")
+    p_witness.add_argument("--alphabet", required=True, type=_decimal_arg, help="alphabet size n")
     p_witness.set_defaults(handler=cmd_witness)
 
     p_verify = sub.add_parser("verify", help="run the cross-check suite")
@@ -502,13 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", help="file of length sequences, one comma-separated line each"
     )
     p_verify.add_argument(
-        "--alphabet-max", type=int, default=3, help="check alphabet sizes 2..N"
+        "--alphabet-max", type=_decimal_arg, default=3, help="check alphabet sizes 2..N"
     )
     p_verify.set_defaults(handler=cmd_verify)
 
     p_all = sub.add_parser("classify-all", help="CSV of every code's classification")
     p_all.add_argument("--lengths", required=True, help="comma-separated word lengths")
-    p_all.add_argument("--alphabet", required=True, type=int, help="alphabet size n")
+    p_all.add_argument("--alphabet", required=True, type=_decimal_arg, help="alphabet size n")
     p_all.add_argument("--output", help="CSV path ('-' or omitted: standard output)")
     p_all.set_defaults(handler=cmd_classify_all)
     return parser
@@ -519,9 +535,9 @@ def _universe_cap() -> int:
     if raw is None:
         return DEFAULT_UNIVERSE_CAP
     try:
-        cap = int(raw)
+        cap = parse_decimal(raw)
     except ValueError:
-        raise CodesError(f"{ENV_CAP} must be an integer, got {raw!r}")
+        raise CodesError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
     if cap < 1:
         raise CodesError(f"{ENV_CAP} must be positive, got {cap}")
     return cap

@@ -23,15 +23,6 @@ def _raw(code: Code) -> tuple[RawWord, ...]:
     return tuple(w.symbols for w in code.words)
 
 
-def _lcp(u: RawWord, v: RawWord) -> int:
-    k = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        k += 1
-    return k
-
-
 def is_prefix_code(code: Code) -> bool:
     """True iff no word is an initial segment of the word at another position.
 
@@ -219,7 +210,47 @@ class DelayReport:
     witness: Optional[InfiniteWitness]
 
 
-_RawState = tuple[RawWord, int]
+# The ambiguity graph is explored on packed words: a word of k letters is the
+# int with a leading 1 bit and then `width` bits per letter, first letter
+# highest, so that bits(w) = w.bit_length() - 1 = k * width.  Then u starts v
+# iff v >> (bits(v) - bits(u)) == u, and the rest of v is the packed word
+# v - ((u - 1) << (bits(v) - bits(u))).  A state is one int too: its dangling
+# suffix << 1 | its leader.
+
+
+def _letter_width(n: int) -> int:
+    """Bits per letter of a packed word over an alphabet of n letters."""
+    return (n - 1).bit_length()
+
+
+def _pack(word: RawWord, width: int) -> int:
+    """The packed form of a word, read from one binary string: linear in the
+    word's length, where shifting the letters in one at a time is quadratic."""
+    spec = f"0{width}b"
+    return int("1" + "".join([format(a, spec) for a in word]), 2)
+
+
+def _packed_pool(length: int, n: int) -> list[int]:
+    """Every word of the given length over n letters, packed, in
+    lexicographic order: each word one letter shorter, extended by every
+    letter in turn."""
+    width = _letter_width(n)
+    pool = [1]
+    for _ in range(length):
+        pool = [word << width | a for word in pool for a in range(n)]
+    return pool
+
+
+def _unpack(packed: int, width: int) -> RawWord:
+    bits = bin(packed)[3:]
+    return tuple(int(bits[k : k + width], 2) for k in range(0, len(bits), width))
+
+
+def _packed(code: Code) -> tuple[tuple[RawWord, ...], tuple[int, ...], int]:
+    """The code's raw words, the same words packed, and the letter width."""
+    width = _letter_width(code.alphabet.size)
+    raw = _raw(code)
+    return raw, tuple([_pack(w, width) for w in raw]), width
 
 
 def _require_distinct(words: tuple[RawWord, ...]) -> None:
@@ -227,55 +258,57 @@ def _require_distinct(words: tuple[RawWord, ...]) -> None:
         raise CodesError("delay analysis needs pairwise distinct code words")
 
 
-def _initial_configs(words: tuple[RawWord, ...]) -> list[tuple[_RawState, tuple[int, int]]]:
-    out = []
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            if i != j and len(u) < len(v) and v[: len(u)] == u:
-                out.append(((v[len(u):], 1), (i, j)))
-    return out
+def _explore(words: tuple[int, ...], stop_at_catch_up: bool = False):
+    """Depth-first walk of the ambiguity graph of distinct packed words from
+    every initial configuration.
 
-
-def _moves(words: tuple[RawWord, ...], state: _RawState):
-    """Transitions and catch-up plays available to the trailing side."""
-    dangling, leader = state
-    moves: list[tuple[int, _RawState]] = []
-    catches: list[int] = []
-    for idx, w in enumerate(words):
-        if w == dangling:
-            catches.append(idx)
-        elif len(w) > len(dangling) and w[: len(dangling)] == dangling:
-            moves.append((idx, (w[len(dangling):], 1 - leader)))
-        elif len(w) < len(dangling) and dangling[: len(w)] == w:
-            moves.append((idx, (dangling[len(w):], leader)))
-    return moves, catches
-
-
-def _explore(words: tuple[RawWord, ...], stop_at_catch_up: bool = False):
-    """Depth-first walk of the ambiguity graph from every initial configuration.
-
-    Returns (initials, adj, catch, post, cyclic): the initial configurations,
-    the moves and catch-up plays of every visited state, the visited states
-    in post-order (reversed, a topological order when the graph is acyclic),
-    and whether some edge closes a cycle (a back edge).  With
-    ``stop_at_catch_up`` the walk ends at the first state offering a catch-up:
-    the code is then not uniquely decodable, and ``post`` and ``cyclic``
-    describe only the part walked so far.
+    Returns (initials, adj, catch, post, cyclic): the initial configurations
+    with the (shorter, longer) word pair of each, the moves (word index,
+    next state) and catch-up plays (word indices) of every visited state, the
+    visited states in post-order (reversed, a topological order when the
+    graph is acyclic), and whether some edge closes a cycle (a back edge).
+    The trailing side plays a word against the dangling suffix: a longer word
+    that starts with it overshoots, and its rest dangles with the lead
+    changing sides; a shorter word that starts it leaves the rest of the
+    suffix; an equal word is a catch-up.  With ``stop_at_catch_up`` the walk
+    ends at the first state offering a catch-up: the code is then not
+    uniquely decodable, and ``post`` and ``cyclic`` describe only the part
+    walked so far.
     """
-    initials = _initial_configs(words)
-    adj: dict[_RawState, list[tuple[int, _RawState]]] = {}
-    catch: dict[_RawState, list[int]] = {}
-    post: list[_RawState] = []
+    sized = [(idx, w, w.bit_length() - 1) for idx, w in enumerate(words)]
+    initials = [
+        ((v - ((u - 1) << (bv - bu))) << 1 | 1, (i, j))
+        for i, u, bu in sized
+        for j, v, bv in sized
+        if bu < bv and v >> (bv - bu) == u
+    ]
+    adj: dict[int, list[tuple[int, int]]] = {}
+    catch: dict[int, list[int]] = {}
+    post: list[int] = []
     cyclic = False
-    on_path: set[_RawState] = set()
+    on_path: set[int] = set()
     for root, _ in initials:
         if root in adj:
             continue
-        state: Optional[_RawState] = root
+        state: Optional[int] = root
         stack = []
         while state is not None or stack:
             if state is not None:
-                moves, catches = _moves(words, state)
+                dangling = state >> 1
+                bits = dangling.bit_length() - 1
+                flipped = (state & 1) ^ 1
+                moves: list[tuple[int, int]] = []
+                catches: list[int] = []
+                for idx, w, bw in sized:
+                    if bw > bits:
+                        if w >> (bw - bits) == dangling:
+                            rest = w - ((dangling - 1) << (bw - bits))
+                            moves.append((idx, rest << 1 | flipped))
+                    elif bw < bits:
+                        if dangling >> (bits - bw) == w:
+                            moves.append((idx, state - ((w - 1) << (bits - bw + 1))))
+                    elif w == dangling:
+                        catches.append(idx)
                 adj[state] = moves
                 catch[state] = catches
                 if catches and stop_at_catch_up:
@@ -299,12 +332,12 @@ def _explore(words: tuple[RawWord, ...], stop_at_catch_up: bool = False):
 
 def ambiguity_graph(code: Code) -> AmbiguityGraph:
     """Materialize the reachable parse-ambiguity configurations."""
-    words = _raw(code)
-    _require_distinct(words)
+    raw, words, width = _packed(code)
+    _require_distinct(raw)
     initials, adj, catch, _, _ = _explore(words)
 
-    def wrap(state: _RawState) -> AmbState:
-        return AmbState(Word(state[0]), state[1])
+    def wrap(state: int) -> AmbState:
+        return AmbState(Word(_unpack(state >> 1, width)), state & 1)
 
     states = tuple(sorted(wrap(s) for s in adj))
     initial_out = tuple(sorted(((wrap(s), pair) for s, pair in initials), key=lambda t: t[1]))
@@ -331,51 +364,64 @@ def _normalize_periodic(preamble: tuple[int, ...], period: tuple[int, ...]):
     return tuple(pre), tuple(per)
 
 
+def _most_agreed(u: int, bu: int, others: list[tuple[int, int]]) -> int:
+    """The most leading bits on which packed word u (of bu bits) agrees with
+    one of `others`, (word, bits) pairs, that neither starts u nor is
+    started by it; -1 when there is none.  Aligned on the shorter length,
+    two such words agree above the highest bit of their XOR."""
+    best = -1
+    for w, bw in others:
+        if bw <= bu:
+            x = w ^ (u >> (bu - bw))
+            agreed = bw - x.bit_length()
+        else:
+            x = u ^ (w >> (bw - bu))
+            agreed = bu - x.bit_length()
+        if x and agreed > best:
+            best = agreed
+    return best
+
+
 def _finite_delay(
-    words: tuple[RawWord, ...],
-    initials: list[tuple[_RawState, tuple[int, int]]],
-    adj: dict[_RawState, list[tuple[int, _RawState]]],
-    order: Iterable[_RawState],
+    words: tuple[int, ...],
+    initials: list[tuple[int, tuple[int, int]]],
+    adj: dict[int, list[tuple[int, int]]],
+    order: Iterable[int],
+    width: int,
 ) -> int:
-    """Deciphering delay of a code whose ambiguity graph has no catch-up and
-    no cycle (`order` lists its states, each before its successors): 1 + the
-    longest common prefix of two factorizable words whose first code words
-    differ.  Three sources compete:
+    """Deciphering delay of a code of packed words whose ambiguity graph has
+    no catch-up and no cycle (`order` lists its states, each before its
+    successors): 1 + the longest common prefix of two factorizable words
+    whose first code words differ.  Three sources compete:
       (a) two code words that diverge immediately,
       (b) the trailing side stopping at a reachable configuration,
       (c) a divergent continuation played against a dangling suffix.
+    Lengths are counted in bits, `width` to a letter; a common prefix counts
+    only whole letters, so the bits are floored to letters once, at the end.
     """
-    m = len(words)
+    sized = [(w, w.bit_length() - 1) for w in words]
     best = -1
-    for i in range(m):
-        for j in range(i + 1, m):
-            u, v = words[i], words[j]
-            if u[: len(v)] != v and v[: len(u)] != u:
-                best = max(best, _lcp(u, v))
-    # longest-path letters consumed by the trailing side on arrival at each
+    for i, (u, bu) in enumerate(sized):
+        best = max(best, _most_agreed(u, bu, sized[i + 1 :]))
+    # longest-path bits consumed by the trailing side on arrival at each
     # configuration
-    consumed: dict[_RawState, int] = {}
+    consumed: dict[int, int] = {}
     for state, (i, _) in initials:
-        consumed[state] = max(consumed.get(state, -1), len(words[i]))
+        consumed[state] = max(consumed.get(state, -1), sized[i][1])
     for state in order:
         if state not in consumed:
             continue
-        dangling = state[0]
+        bits = state.bit_length() - 2
         for idx, nxt in adj[state]:
-            w = words[idx]
             # overshoot hands the lead over: the new trailing side is the old
             # leader, which had consumed the dangling suffix past our total
-            step = len(dangling) if len(w) > len(dangling) else len(w)
-            candidate = consumed[state] + step
+            candidate = consumed[state] + min(bits, sized[idx][1])
             if candidate > consumed.get(nxt, -1):
                 consumed[nxt] = candidate
-    for state, t_len in consumed.items():
-        best = max(best, t_len)
-        dangling = state[0]
-        for w in words:
-            if w != dangling and w[: len(dangling)] != dangling and dangling[: len(w)] != w:
-                best = max(best, t_len + _lcp(w, dangling))
-    return best + 1
+    for state, t_bits in consumed.items():
+        agreed = _most_agreed(state >> 1, state.bit_length() - 2, sized)
+        best = max(best, t_bits, t_bits + agreed)
+    return best // width + 1
 
 
 def _finish_catch(words, stream, pair):
@@ -385,7 +431,7 @@ def _finish_catch(words, stream, pair):
     return InfiniteWitness(Word(pre), Word(per), (Word(words[i]), Word(words[j])))
 
 
-def _finish_cycle(words, entry, info, adj, on_cycle):
+def _finish_cycle(words, entry, info, adj, on_cycle, width):
     stream, _t_fact, _l_fact, pair = info
     added: list[int] = []
     seen_at = {entry: 0}
@@ -394,10 +440,8 @@ def _finish_cycle(words, entry, info, adj, on_cycle):
         idx, nxt = min(
             (idx, nxt) for idx, nxt in adj[pos] if nxt in on_cycle
         )
-        dangling = pos[0]
-        w = words[idx]
-        if len(w) > len(dangling):
-            added.extend(w[len(dangling):])
+        if (nxt ^ pos) & 1:  # an overshoot: its dangling rest joins the stream
+            added.extend(_unpack(nxt >> 1, width))
         if nxt in seen_at:
             cut = seen_at[nxt]
             pre = stream + tuple(added[:cut])
@@ -410,12 +454,13 @@ def _finish_cycle(words, entry, info, adj, on_cycle):
     return InfiniteWitness(Word(pre), Word(per), (Word(words[i]), Word(words[j])))
 
 
-def _assemble_witness(words, initials, adj, catch, on_cycle):
+def _assemble_witness(words, initials, adj, catch, on_cycle, width):
     """Deterministic witness: initial states in pair order, transitions in
     word order, breadth first, so the nearest catch-up or cycle entry wins.
     At a state offering both, the catch-up (a concrete finite double
-    factorization) is preferred."""
-    info: dict[_RawState, tuple] = {}
+    factorization) is preferred.  `words` are the raw words; the states are
+    packed, and decoded only where an overshoot adds letters to the stream."""
+    info: dict[int, tuple] = {}
     order = []
     for state, (i, j) in sorted(initials, key=lambda t: t[1]):
         if state not in info:
@@ -429,14 +474,12 @@ def _assemble_witness(words, initials, adj, catch, on_cycle):
         if catch[state]:
             return _finish_catch(words, stream, pair)
         if state in on_cycle:
-            return _finish_cycle(words, state, info[state], adj, on_cycle)
+            return _finish_cycle(words, state, info[state], adj, on_cycle, width)
         for idx, nxt in sorted(adj[state]):
             if nxt in info:
                 continue
-            dangling = state[0]
-            w = words[idx]
-            if len(w) > len(dangling):
-                info[nxt] = (stream + w[len(dangling):], l_fact, t_fact + (idx,), pair)
+            if (nxt ^ state) & 1:
+                info[nxt] = (stream + _unpack(nxt >> 1, width), l_fact, t_fact + (idx,), pair)
             else:
                 info[nxt] = (stream, t_fact + (idx,), l_fact, pair)
             queue.append(nxt)
@@ -452,14 +495,14 @@ def delay_analysis(code: Code) -> DelayReport:
     catch-up state; a catch-up doubles as a finite double factorization,
     i.e. the code is not uniquely decodable.
     """
-    words = _raw(code)
-    _require_distinct(words)
+    raw, words, width = _packed(code)
+    _require_distinct(raw)
     initials, adj, catch, post, cyclic = _explore(words)
     if cyclic or any(catch.values()):
         successors = {state: [nxt for _, nxt in moves] for state, moves in adj.items()}
-        witness = _assemble_witness(words, initials, adj, catch, cyclic_nodes(successors))
+        witness = _assemble_witness(raw, initials, adj, catch, cyclic_nodes(successors), width)
         return DelayReport(finite=False, delay=None, witness=witness)
-    delay = _finite_delay(words, initials, adj, reversed(post))
+    delay = _finite_delay(words, initials, adj, reversed(post), width)
     return DelayReport(finite=True, delay=delay, witness=None)
 
 
@@ -484,20 +527,25 @@ def classify(code: Code) -> Classification:
     decodable iff no configuration is a catch-up, and of finite delay iff it
     is uniquely decodable and the graph has no cycle.
     """
-    words = _raw(code)
+    _, words, width = _packed(code)
     if len(set(words)) != len(words):
         return Classification(False, False, False, False, None)
-    return Classification(True, *_classes(words, with_delay=True))
+    return Classification(True, *_classes(words, width))
 
 
-def _classes(words: tuple[RawWord, ...], with_delay: bool) -> tuple[bool, bool, bool, Optional[int]]:
-    """(prefix, ud, finite_delay, delay) of pairwise distinct raw words, read
-    off one depth-first exploration that stops at the first catch-up (such a
-    code is neither UD nor of finite delay): prefix iff no initial
+def _classes(
+    words: tuple[int, ...], delay_width: Optional[int]
+) -> tuple[bool, bool, bool, Optional[int]]:
+    """(prefix, ud, finite_delay, delay) of pairwise distinct packed words,
+    read off one depth-first exploration that stops at the first catch-up
+    (such a code is neither UD nor of finite delay): prefix iff no initial
     configuration, UD iff no catch-up, finite delay iff also no back edge.
-    The delay is None unless asked for and finite."""
+    The delay is asked for by giving the letter width it is counted in,
+    `delay_width`; it is None unless asked for and finite."""
     initials, adj, catch, post, cyclic = _explore(words, stop_at_catch_up=True)
     ud = not any(catch.values())
     finite = ud and not cyclic
-    delay = _finite_delay(words, initials, adj, reversed(post)) if with_delay and finite else None
+    delay = None
+    if delay_width is not None and finite:
+        delay = _finite_delay(words, initials, adj, reversed(post), delay_width)
     return not initials, ud, finite, delay

@@ -7,16 +7,21 @@ independent of the decision module's algorithms.
 from __future__ import annotations
 
 import collections
-import csv
 import heapq
 import itertools
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
-from ._graph import cyclic_nodes, topological_order
+from ._graph import order_and_cycles
 # census, classify and universe_size are re-exported: callers reach them here.
-from .census import DEFAULT_UNIVERSE_CAP, _checked_alphabet, _raw_pool, census, universe_size
-from .decide import _classes, classify
+from .census import (
+    DEFAULT_UNIVERSE_CAP,
+    _checked_alphabet,
+    _raw_pool,
+    census,
+    universe_size,
+)
+from .decide import _classes, _letter_width, _packed_pool, classify
 from .words import GLYPHS, Code, CodesError, ProfileLike, Word, as_length_sequence
 
 # Length sequences exercised by the verify command; all enumerable at n <= 3.
@@ -47,30 +52,51 @@ def enumerate_codes(
     return (Code(alphabet, combo) for combo in itertools.product(*pools))
 
 
+# Rows written to the output at once.
+_CSV_CHUNK = 4096
+
+
 def write_classification_csv(
     profile: ProfileLike, n: int, out: IO[str], cap: int = DEFAULT_UNIVERSE_CAP
 ) -> int:
     """Classify every code with the given lengths and write one CSV row per
     code, in the order of enumerate_codes; returns the number of rows.
-    Nothing is written unless the alphabet has a text form."""
+    Nothing is written unless the alphabet has a text form.
+
+    No field needs quoting (glyphs, ';', true/false and digits), so a row is
+    the code's text and one cached string per classification, and rows are
+    written in chunks."""
     lengths = as_length_sequence(profile)
     _checked_alphabet(lengths, n, cap)
     if n > len(GLYPHS):
         raise CodesError(f"alphabet of size {n} exceeds the {len(GLYPHS)}-letter text form")
-    pools = [_raw_pool(length, n) for length in lengths]
-    texts = {w: "".join(GLYPHS[s] for s in w) for pool in pools for w in pool}
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["code", "injective", "prefix", "ud", "finite_delay", "delay"])
+    pools = [_packed_pool(length, n) for length in lengths]
+    texts = {
+        packed: "".join(GLYPHS[s] for s in w)
+        for length, pool in zip(lengths, pools)
+        for packed, w in zip(pool, _raw_pool(length, n))
+    }
+    width = _letter_width(n)
+    out.write("code,injective,prefix,ud,finite_delay,delay\n")
+    tails: dict[tuple, str] = {}
+    chunk: list[str] = []
     rows = 0
     for words in itertools.product(*pools):
-        injective = len(set(words)) == len(words)
-        prefix, ud, finite, delay = (
-            _classes(words, with_delay=True) if injective else (False, False, False, None)
-        )
-        flags = map(_csv_bool, (injective, prefix, ud, finite))
-        text = ";".join(map(texts.__getitem__, words))
-        writer.writerow([text, *flags, "" if delay is None else str(delay)])
+        if len(set(words)) == len(words):
+            classes = (True, *_classes(words, width))
+        else:
+            classes = (False, False, False, False, None)
+        tail = tails.get(classes)
+        if tail is None:
+            *flags, delay = classes
+            fields = [*map(_csv_bool, flags), "" if delay is None else str(delay)]
+            tail = tails[classes] = "," + ",".join(fields) + "\n"
+        chunk.append(";".join(map(texts.__getitem__, words)) + tail)
         rows += 1
+        if len(chunk) == _CSV_CHUNK:
+            out.write("".join(chunk))
+            chunk.clear()
+    out.write("".join(chunk))
     return rows
 
 
@@ -309,9 +335,9 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
         second &= -second
         return words[first.bit_length() - 1], words[second.bit_length() - 1]
 
-    order = topological_order(sub)
+    order, cyclic = order_and_cycles(sub)
     if order is None:
-        return ProbeResult("infinite", None, min(map(first_pair, cyclic_nodes(sub))))
+        return ProbeResult("infinite", None, min(map(first_pair, cyclic)))
 
     # every state is reached from the start, which comes first in `order`
     depth = [0] * len(states)

@@ -259,6 +259,27 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word(tuple(symbols))
 
 
+def _decimal_digits(text: str) -> tuple[bool, str]:
+    """(negative, digits) of an int written in ASCII decimal digits after an
+    optional minus sign; the digits lose their leading zeros ("0" for zero).
+
+    int() would also take '1_0', '+3', blanks around the number and
+    non-ASCII digits (say Arabic-Indic '\u0663' or fullwidth '\uff12'); each
+    of those raises ValueError here.
+    """
+    negative = text.startswith("-")
+    digits = text[negative:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal number")
+    return negative, digits.lstrip("0") or "0"
+
+
+def parse_decimal(text: str) -> int:
+    """The int that `text` writes under the rule of _decimal_digits."""
+    negative, digits = _decimal_digits(text)
+    return -int(digits) if negative else int(digits)
+
+
 def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
 
@@ -277,12 +298,12 @@ def parse_code_file(text: str) -> Code:
     if len(parts) != 2 or parts[0] != "alphabet":
         raise CodeFileError(f"line 1 must be 'alphabet <n>', got {lines[0]!r}", line=1)
     size = parts[1]
-    negative = size.startswith("-")
-    digits = size[negative:]
-    # int() would also take '1_0', '+3' and non-ASCII digits (say Arabic-Indic)
-    if not (digits.isascii() and digits.isdigit()):
-        raise CodeFileError(f"line 1: alphabet size {size!r} is not a decimal number", line=1)
-    digits = digits.lstrip("0") or "0"
+    try:
+        negative, digits = _decimal_digits(size)
+    except ValueError:
+        raise CodeFileError(
+            f"line 1: alphabet size {size!r} is not a decimal number", line=1
+        ) from None
     if negative and digits != "0":
         raise CodeFileError(f"line 1: alphabet size must be >= 2, got -{digits}", line=1)
     # lengths first: int() refuses a size of thousands of digits

@@ -3,11 +3,16 @@ import importlib
 import io
 import json
 import math
+import os
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udcodes import cli
 from udcodes.cli import main
@@ -438,3 +443,129 @@ def test_bad_lengths_argument():
     rc, payload = run_json("count", "--lengths", "2,x", "--alphabet", "2")
     assert rc == 2
     assert payload["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--lengths", "1_0,\u0663", "--alphabet", "2"),
+        ("count", "--lengths", "2,3", "--alphabet", "\uff12"),
+        ("count", "--lengths", "2,3", "--alphabet", "1_0"),
+        ("count", "--lengths", "2,3", "--alphabet", "+2"),
+        ("count", "--lengths", "2,3,3", "--alphabet", "2", "--anchored", "\u0662,3"),
+        ("witness", "--kind", "prefix", "--lengths", "\u0662", "--alphabet", "2"),
+        ("classify-all", "--lengths", "1", "--alphabet", " 2"),
+        ("verify", "--alphabet-max", "\u0663"),
+    ],
+)
+def test_cli_numbers_must_be_ascii_decimal(argv):
+    rc, out, _err = run(*argv)
+    assert rc == 2
+    assert '"status": "ok"' not in out
+
+
+def test_suite_file_and_cap_numbers_must_be_ascii_decimal(tmp_path, monkeypatch):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("1,\u0662\n", encoding="utf-8")
+    rc, payload = run_json("verify", "--suite", str(suite), "--alphabet-max", "2")
+    assert rc == 2
+    assert payload["status"] == "error"
+    suite.write_text(" 1 , 2\n")  # blanks around the numbers of a list are allowed
+    monkeypatch.setenv("CODES_UNIVERSE_CAP", "1_000")
+    rc, payload = run_json("verify", "--suite", str(suite), "--alphabet-max", "2")
+    assert rc == 2
+    assert "CODES_UNIVERSE_CAP" in payload["error"]["message"]
+    monkeypatch.setenv("CODES_UNIVERSE_CAP", "1000")
+    rc, payload = run_json("verify", "--suite", str(suite), "--alphabet-max", "2")
+    assert rc == 0
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+
+
+def _spelled(value):
+    """`value` written in ASCII decimal, or in a way int() also reads."""
+    text = str(value)
+    return st.sampled_from(
+        [
+            text,
+            "00" + text,
+            "+" + text,
+            "0_" + text,
+            " " + text,
+            text + "\t",
+            text.translate(_ARABIC_INDIC),
+            text.translate(_FULLWIDTH),
+        ]
+    )
+
+
+def _follows_rule(text, in_list=False):
+    """ASCII decimal digits after an optional minus sign; blanks around the
+    number are allowed only in a comma-separated list."""
+    return _DECIMAL.fullmatch(text.strip(" \t") if in_list else text) is not None
+
+
+@st.composite
+def _count_arguments(draw):
+    lengths = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    values = sorted(set(lengths))
+    anchored = values[:2] if len(values) > 1 else None
+    return (
+        [draw(_spelled(a)) for a in lengths],
+        draw(_spelled(draw(st.integers(2, 3)))),
+        anchored and [draw(_spelled(a)) for a in anchored],
+        draw(_spelled(draw(st.integers(100, 1000)))),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(_count_arguments())
+def test_count_arguments_fuzz(arguments):
+    """Valid values, each spelled in ASCII decimal or in a way int() also
+    reads: the command runs iff every number follows the ASCII-decimal rule,
+    and refuses with exit 2 otherwise."""
+    lengths, alphabet, anchored, cap = arguments
+    argv = ["count", "--lengths", ",".join(lengths), "--alphabet", alphabet, "--method", "formula"]
+    if anchored:
+        argv += ["--anchored", ",".join(anchored)]
+    with mock.patch.dict(os.environ, {"CODES_UNIVERSE_CAP": cap}):
+        rc, out, _err = run(*argv)
+    follows = (
+        all(_follows_rule(part, in_list=True) for part in lengths + (anchored or []))
+        and _follows_rule(alphabet)
+        and _follows_rule(cap)
+    )
+    assert rc == (0 if follows else 2)
+    if follows:
+        assert json.loads(out)["inputs"]["alphabet"] == str(int(alphabet))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=2).flatmap(
+        lambda lengths: st.tuples(*map(_spelled, lengths))
+    ),
+    st.integers(2, 3).flatmap(_spelled),
+)
+def test_verify_arguments_fuzz(tmp_path_factory, line, alphabet_max):
+    suite = tmp_path_factory.mktemp("suite") / "suite.txt"
+    suite.write_text(",".join(line) + "\n", encoding="utf-8")
+    with mock.patch.dict(os.environ, {"CODES_UNIVERSE_CAP": "300"}):
+        rc, _out, _err = run("verify", "--suite", str(suite), "--alphabet-max", alphabet_max)
+    follows = all(_follows_rule(p, in_list=True) for p in line) and _follows_rule(alphabet_max)
+    assert rc == (0 if follows else 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.text(alphabet="0123456789-+_, \t\u0663\uff12x", max_size=6), st.text(max_size=4))
+def test_count_argument_text_fuzz(lengths, alphabet):
+    """Arbitrary text: a usage error (exit 2) unless every number follows
+    the rule."""
+    argv = ("count", "--lengths", lengths, "--alphabet", alphabet, "--method", "formula")
+    rc, _out, _err = run(*argv)
+    parts = lengths.split(",")
+    follows = all(_follows_rule(p, in_list=True) for p in parts) and _follows_rule(alphabet)
+    assert rc in ((0, 2) if follows else (2,))

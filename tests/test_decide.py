@@ -1,18 +1,32 @@
+import itertools
+import time
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udcodes._graph import cyclic_nodes
 from udcodes.decide import (
     _explore,
+    _pack,
+    _packed,
+    _packed_pool,
+    _unpack,
     ambiguity_graph,
+    classify,
     delay_analysis,
     factorize,
     is_prefix_code,
     sardinas_patterson,
 )
-from udcodes.enumeration import enumerate_codes, safe_bound, two_factorization_search
-from udcodes.words import Code, CodesError, Word, parse_word
+from udcodes.enumeration import (
+    bounded_delay_probe,
+    enumerate_codes,
+    safe_bound,
+    two_factorization_search,
+)
+from udcodes.words import Alphabet, Code, CodesError, Word, parse_word
 
 
 def code(*texts, n=2):
@@ -209,13 +223,18 @@ def test_sp_reversal_symmetry(c):
     assert sardinas_patterson(c).unique == sardinas_patterson(c.reverse()).unique
 
 
+def decoded(state, width=1):
+    """A packed state as (dangling suffix letters, leader)."""
+    return _unpack(state >> 1, width), state & 1
+
+
 def test_explore_stops_at_the_first_catch_up():
     # 0|10 and 01|0 both spell 010: the walk ends on reaching the catch-up
-    words = tuple(w.symbols for w in code("0", "01", "10").words)
+    _, words, width = _packed(code("0", "01", "10"))
     initials, adj, catch, _post, _cyclic = _explore(words, stop_at_catch_up=True)
-    assert [state for state, _pair in initials] == [((1,), 1)]
-    assert list(adj) == [((1,), 1), ((0,), 0)]
-    assert [state for state, plays in catch.items() if plays] == [((0,), 0)]
+    assert [decoded(state) for state, _pair in initials] == [((1,), 1)]
+    assert list(map(decoded, adj)) == [((1,), 1), ((0,), 0)]
+    assert [decoded(state) for state, plays in catch.items() if plays] == [((0,), 0)]
 
 
 @pytest.mark.parametrize("lengths", [(1, 2, 3), (2, 2, 3), (2, 3, 3), (1, 3, 4)])
@@ -223,7 +242,7 @@ def test_explore_depth_first_against_graph_helpers(lengths):
     """The walk's back edges and post-order against the linear SCC pass, and
     the early stop against the full walk, on every injective binary code."""
     for c in enumerate_codes(lengths, 2):
-        words = tuple(w.symbols for w in c.words)
+        _, words, _ = _packed(c)
         if len(set(words)) < len(words):
             continue
         initials, adj, catch, post, cyclic = _explore(words)
@@ -238,3 +257,106 @@ def test_explore_depth_first_against_graph_helpers(lengths):
         assert (not any(stopped[2].values())) == ud
         if ud:
             assert stopped == (initials, adj, catch, post, cyclic)
+
+
+# Packed words: n = 3 and n = 5 take 2 and 3 bits per letter, so some bit
+# patterns are not letters; n = 36 takes 6, and a word of 11 letters packs
+# past 64 bits.
+
+
+def assert_matches_oracles(c):
+    """classify against the reference prefix test, the two-factorization
+    search (UD) and the delay probe (finite, delay), none of which packs."""
+    result = classify(c)
+    bound = safe_bound(c)
+    probe = bounded_delay_probe(c, bound)
+    assert result.prefix == is_prefix_code(c)
+    assert result.ud == (two_factorization_search(c, bound) is None)
+    assert result.finite_delay == (probe.verdict == "finite")
+    assert result.delay == probe.delay
+    report = delay_analysis(c) if result.injective else None
+    if report is not None:
+        assert (report.finite, report.delay) == (result.finite_delay, result.delay)
+        assert (report.witness is None) == report.finite
+
+
+@pytest.mark.parametrize(
+    "lengths,n",
+    [((1, 2, 2), 3), ((2, 2, 3), 3), ((1, 2, 3), 3), ((1, 1, 2), 5), ((1, 2, 2), 5), ((1, 3), 5)],
+)
+def test_classify_matches_oracles_on_wider_alphabets(lengths, n):
+    for c in enumerate_codes(lengths, n):
+        if len(set(c.words)) == len(c.words):
+            assert_matches_oracles(c)
+
+
+@st.composite
+def wide_codes(draw):
+    """Codes over up to 36 letters whose words use few of them, so that the
+    words overlap, and up to 14 letters long."""
+    n = draw(st.integers(2, 36))
+    letters = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    words = draw(
+        st.lists(
+            st.lists(st.sampled_from(letters), min_size=1, max_size=14).map(tuple),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    return Code(Alphabet(n), tuple(map(Word, words)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_codes())
+@example(Code.from_texts(["zyzyzyzyzyzy", "zyzyzyzyzyzyz", "z" * 11 + "y", "yz"], 36))
+@example(Code.from_texts(["wx" * 7, "wxw", "xwx" * 4, "x"], 36))
+@example(Code.from_texts(["4" * 12 + "3", "44", "3" + "4" * 11], 5))
+@example(Code.from_texts(["z" + "y" * 10, "z" + "y" * 11, "y" * 12], 36))
+def test_classify_matches_oracles_on_long_packed_words(c):
+    assert_matches_oracles(c)
+
+
+@st.composite
+def letter_sequences(draw):
+    n = draw(st.integers(2, 1000))
+    return n, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(letter_sequences())
+def test_pack_round_trip(case):
+    n, letters = case
+    width = (n - 1).bit_length()
+    packed = _pack(tuple(letters), width)
+    assert packed.bit_length() == 1 + width * len(letters)
+    assert _unpack(packed, width) == tuple(letters)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 36])
+def test_packed_pool_is_the_lexicographic_pool_packed(n):
+    width = (n - 1).bit_length()
+    for length in range(3):
+        words = itertools.product(range(n), repeat=length)
+        assert _packed_pool(length, n) == [_pack(w, width) for w in words]
+
+
+def test_pack_is_linear_in_the_word_length():
+    # shifting a million letters in one at a time takes minutes
+    word = tuple(i % 3 for i in range(10**6))
+    start = time.perf_counter()
+    assert _unpack(_pack(word, 2), 2) == word
+    assert time.perf_counter() - start < 10
+
+
+def test_long_word_memory():
+    """A dangling suffix is one int: classify on (0^L 1, 0, 1) at L = 3000
+    peaks near 2 MB, where one tuple per suffix took about 36 MB."""
+    c = Code.from_texts(["0" * 3000 + "1", "0", "1"], 2)
+    tracemalloc.start()
+    try:
+        assert not classify(c).ud
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

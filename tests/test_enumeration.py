@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import importlib
 import io
 import itertools
@@ -471,6 +472,24 @@ def test_probe_matches_per_word_reference(profile, n, count_states):
             _assert_probe_matches_reference(c, safe_bound(c), count_states)
 
 
+@pytest.mark.parametrize("texts", [("10", "100", "000"), ("01", "001", "000"), ("0", "01", "10")])
+def test_probe_makes_one_graph_pass(monkeypatch, texts):
+    """The order (finite) and the cycle set (infinite) come off one pass of
+    the strongly connected components."""
+    graph = importlib.import_module("udcodes._graph")
+    calls = []
+    components = graph._components
+
+    def counted(adjacency):
+        calls.append(len(adjacency))
+        return components(adjacency)
+
+    monkeypatch.setattr(graph, "_components", counted)
+    c = Code.from_texts(list(texts), 2)
+    bounded_delay_probe(c, safe_bound(c))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("texts", [("11", "1101", "010"), ("10", "100", "000")])
 def test_probe_builds_no_unambiguous_state(monkeypatch, texts):
     """A state with one first word left is never built: the probe gives its
@@ -534,6 +553,24 @@ def test_classification_csv_golden():
     rows = write_classification_csv((1, 2), 2, buf)
     assert rows == 8
     assert buf.getvalue().replace("\r\n", "\n") == GOLDEN_CSV
+
+
+# SHA-256 of `classify-all` output, recorded before words were packed: n = 3
+# and n = 5 take 2 and 3 bits per letter, and (3,1,2) lists a longer word
+# first.
+CSV_SHA256 = {
+    ((2, 2, 3), 3): "3de83164fc1dc5130e1947ae98724679ec7d8d1d760ac204187aff7a12659759",
+    ((3, 1, 2), 2): "6ce80f35d98cb8a5c42fcaa3ceabbaee53129872d386fd57b9a80d928e21daaf",
+    ((1, 2, 2), 5): "5956623cfe943f90f5ce3fb01b5441548262112fb44dd40aa8ec8de0c503dd18",
+}
+
+
+@pytest.mark.parametrize("lengths,n", sorted(CSV_SHA256), ids=["223-3", "312-2", "122-5"])
+def test_classification_csv_pinned(lengths, n):
+    buf = io.StringIO()
+    rows = write_classification_csv(lengths, n, buf)
+    assert rows == n ** sum(lengths)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CSV_SHA256[lengths, n]
 
 
 def test_classification_csv_refuses_before_writing():

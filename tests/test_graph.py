@@ -8,7 +8,7 @@ module checks them directly.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udcodes._graph import cyclic_nodes, topological_order
+from udcodes._graph import cyclic_nodes, order_and_cycles, topological_order
 
 # keys are drawn from the same 8 labels as the targets, so graphs have
 # self-loops, and nodes that appear only as edge targets
@@ -39,6 +39,7 @@ def test_graph_helpers_match_transitive_closure(adjacency):
     assert cyclic_nodes(adjacency) == cyclic
     order = topological_order(adjacency)
     assert (order is None) == bool(cyclic)
+    assert order_and_cycles(adjacency) == (order, cyclic)
     if order is not None:
         assert sorted(order) == sorted(nodes)
         position = {node: k for k, node in enumerate(order)}
