@@ -148,12 +148,7 @@ def _formula_counts(p: LengthProfile, n: int) -> tuple[int, Optional[int], Optio
         return 0, 0, 0
     closed = closed_form_counts(p, n)
     ud = closed.ud if closed is not None else None
-    if p.is_constant:
-        fd: Optional[int] = pr
-    elif fd_matches_ud_condition(p):
-        fd = ud
-    else:
-        fd = None
+    fd = ud if fd_matches_ud_condition(p) else None
     return pr, fd, ud
 
 

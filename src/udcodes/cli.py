@@ -38,7 +38,6 @@ from .enumeration import (
     write_classification_csv,
 )
 from .kraft import (
-    anchored_prefix_code,
     canonical_prefix_code,
     count_anchored_prefix_codes,
     infinite_delay_witness,

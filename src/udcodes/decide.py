@@ -431,8 +431,7 @@ def _finish_catch(words, stream, pair):
     return InfiniteWitness(Word(pre), Word(per), (Word(words[i]), Word(words[j])))
 
 
-def _finish_cycle(words, entry, info, adj, on_cycle, width):
-    stream, _t_fact, _l_fact, pair = info
+def _finish_cycle(words, entry, stream, pair, adj, on_cycle, width):
     added: list[int] = []
     seen_at = {entry: 0}
     pos = entry
@@ -464,24 +463,24 @@ def _assemble_witness(words, initials, adj, catch, on_cycle, width):
     order = []
     for state, (i, j) in sorted(initials, key=lambda t: t[1]):
         if state not in info:
-            # leader stream letters, trailing fact, leader fact, first pair
-            info[state] = (words[j], (i,), (j,), (i, j))
+            # leader stream letters, first pair
+            info[state] = (words[j], (i, j))
             order.append(state)
     queue = deque(order)
     while queue:
         state = queue.popleft()
-        stream, t_fact, l_fact, pair = info[state]
+        stream, pair = info[state]
         if catch[state]:
             return _finish_catch(words, stream, pair)
         if state in on_cycle:
-            return _finish_cycle(words, state, info[state], adj, on_cycle, width)
-        for idx, nxt in sorted(adj[state]):
+            return _finish_cycle(words, state, stream, pair, adj, on_cycle, width)
+        for _, nxt in sorted(adj[state]):
             if nxt in info:
                 continue
             if (nxt ^ state) & 1:
-                info[nxt] = (stream + _unpack(nxt >> 1, width), l_fact, t_fact + (idx,), pair)
+                info[nxt] = (stream + _unpack(nxt >> 1, width), pair)
             else:
-                info[nxt] = (stream, t_fact + (idx,), l_fact, pair)
+                info[nxt] = (stream, pair)
             queue.append(nxt)
     raise AssertionError("witness requested for a finite-delay code")
 

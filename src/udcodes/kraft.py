@@ -3,6 +3,14 @@ constructions: canonical prefix codes, anchored prefix codes (which force
 the two words 0^(a-1)1 and 0^(b-1)1), uniquely decodable non-prefix
 witnesses, and infinite-delay witnesses.
 
+One staged builder fills every prefix construction: for each length value
+in increasing order it places the forced words and then the smallest words
+neither shadowed by earlier choices nor excluded.  The anchored family
+follows two rules on the all-zero word, with z the optional
+``zero_word_length``: 0^v is forced when v == z, and excluded when v < z
+(v < b when no z is given), since a shorter all-zero word would shadow an
+anchor or the forced 0^z.
+
 All counting is exact big-integer / rational arithmetic; nothing here ever
 touches floating point.
 """
@@ -172,6 +180,48 @@ def _arrange(raw_lengths: tuple[int, ...], words_at: dict[int, list[Word]], n: i
     return Code(Alphabet(n), tuple(next(iters[length]) for length in raw_lengths))
 
 
+def _staged_prefix_code(
+    raw: tuple[int, ...],
+    profile: LengthProfile,
+    n: int,
+    forced: dict[int, list[int]],
+    zero_excluded_below: int,
+) -> Code:
+    """The staged prefix construction.  After the Kraft check, each length
+    value in increasing order takes its `forced` numerals first, then the
+    smallest numerals neither shadowed by earlier choices nor excluded; the
+    all-zero numeral 0 is excluded at lengths below `zero_excluded_below`."""
+    s = kraft_sum(profile, n)
+    if s > 1:
+        raise ConstructionError(f"no prefix code exists: Kraft sum {s} exceeds 1")
+    chosen: Chosen = []
+    words_at: dict[int, list[Word]] = {}
+    for value, mult in zip(profile.values, profile.multiplicities):
+        pinned = forced.get(value, [])
+        for v in pinned:
+            if _is_blocked(chosen, value, n, v):
+                raise ConstructionError(
+                    f"length {value}: forced word is shadowed by an earlier choice",
+                    stage=value,
+                )
+        extras_needed = mult - len(pinned)
+        if extras_needed < 0:
+            raise ConstructionError(
+                f"length {value}: {len(pinned)} forced words but only {mult} slots",
+                stage=value,
+            )
+        excluded = set(pinned) | ({0} if value < zero_excluded_below else set())
+        picks = _eligible_ascending(n, value, chosen, excluded, extras_needed)
+        if len(picks) < extras_needed:
+            raise ConstructionError(
+                f"length {value}: only {len(pinned) + len(picks)} words available, need {mult}",
+                stage=value,
+            )
+        words_at[value] = [_numeral_to_word(v, value, n) for v in pinned + picks]
+        chosen.extend((value, v) for v in pinned + picks)
+    return _arrange(raw, words_at, n)
+
+
 def canonical_prefix_code(lengths: ProfileLike, n: int) -> Code:
     """The lexicographically smallest prefix code with the given lengths.
 
@@ -181,22 +231,7 @@ def canonical_prefix_code(lengths: ProfileLike, n: int) -> Code:
     """
     Alphabet(n)
     raw = as_length_sequence(lengths)
-    profile = LengthProfile.from_lengths(raw)
-    s = kraft_sum(profile, n)
-    if s > 1:
-        raise ConstructionError(f"no prefix code exists: Kraft sum {s} exceeds 1")
-    chosen: Chosen = []
-    words_at: dict[int, list[Word]] = {}
-    for value, mult in zip(profile.values, profile.multiplicities):
-        picks = _eligible_ascending(n, value, chosen, set(), mult)
-        if len(picks) < mult:
-            raise ConstructionError(
-                f"length {value}: only {len(picks)} words available, need {mult}",
-                stage=value,
-            )
-        words_at[value] = [_numeral_to_word(v, value, n) for v in picks]
-        chosen.extend((value, v) for v in picks)
-    return _arrange(raw, words_at, n)
+    return _staged_prefix_code(raw, LengthProfile.from_lengths(raw), n, {}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +299,13 @@ def anchored_prefix_code(
 ) -> Code:
     """A canonical member of the anchored family.
 
-    Stage by stage over increasing length values: all-zero words are excluded
-    below b (they would shadow an anchor); the anchors are forced at lengths
-    a and b; when ``zero_word_length`` is given, the all-zero word of that
-    length is forced as well and all-zero words below it stay excluded so it
-    remains available.  Every remaining slot takes the smallest eligible
-    words.  Forced words occupy the earliest slots of their length (anchor
-    first, then the forced zero word), extras follow in ascending order.
+    The staged builder forces the anchors at lengths a and b.  With z the
+    given ``zero_word_length``, it also forces the all-zero word 0^z, and it
+    excludes every shorter all-zero word: below z, or below b when no z is
+    given, 0^v would shadow an anchor or 0^z.  Every remaining slot takes
+    the smallest eligible words.  Forced words occupy the earliest slots of
+    their length (anchor first, then the forced zero word), extras follow in
+    ascending order.
     """
     Alphabet(n)
     raw = as_length_sequence(lengths)
@@ -281,51 +316,13 @@ def anchored_prefix_code(
             raise CodesError(
                 f"zero_word_length must be a length value >= {b}, got {zero_word_length}"
             )
-    s = kraft_sum(profile, n)
-    if s > 1:
-        raise ConstructionError(f"no prefix code exists: Kraft sum {s} exceeds 1")
-
-    chosen: Chosen = []
-    words_at: dict[int, list[Word]] = {}
-    for value, mult in zip(profile.values, profile.multiplicities):
-        forced: list[int] = []
-        excluded: set[int] = set()
-        if value < b:
-            excluded.add(0)
-        if value == a:
-            forced.append(1)  # numeral of 0^(a-1) 1
-        if value == b:
-            forced.append(1)
-            if zero_word_length == b:
-                forced.append(0)
-            elif zero_word_length is not None:
-                excluded.add(0)
-        elif b < value and zero_word_length is not None and value < zero_word_length:
-            excluded.add(0)
-        elif zero_word_length is not None and value == zero_word_length and value > b:
-            forced.append(0)
-
-        for v in forced:
-            if _is_blocked(chosen, value, n, v):
-                raise ConstructionError(
-                    f"length {value}: forced word is shadowed by an earlier choice",
-                    stage=value,
-                )
-        extras_needed = mult - len(forced)
-        if extras_needed < 0:
-            raise ConstructionError(
-                f"length {value}: {len(forced)} forced words but only {mult} slots",
-                stage=value,
-            )
-        picks = _eligible_ascending(n, value, chosen, excluded | set(forced), extras_needed)
-        if len(picks) < extras_needed:
-            raise ConstructionError(
-                f"length {value}: only {len(forced) + len(picks)} words available, need {mult}",
-                stage=value,
-            )
-        words_at[value] = [_numeral_to_word(v, value, n) for v in forced + picks]
-        chosen.extend((value, v) for v in forced + picks)
-    return _arrange(raw, words_at, n)
+    forced = {a: [1], b: [1]}  # 1 is the numeral of 0^(v-1) 1
+    if zero_word_length is None:
+        zero_excluded_below = b
+    else:
+        forced.setdefault(zero_word_length, []).append(0)
+        zero_excluded_below = zero_word_length
+    return _staged_prefix_code(raw, profile, n, forced, zero_excluded_below)
 
 
 def ud_nonprefix_witness(lengths: ProfileLike, n: int) -> Code:
@@ -429,19 +426,11 @@ def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, Infinite
         raise ConstructionError(
             f"length {a}: need between 2 and {n ** a - 1} short words, have {r_a}", stage=a
         )
-    ones = Word((1,) * a)
-    zeros = Word((0,) * a)
+    # numerals of 1^a and of the banned word 1^(a-remainder) 0^remainder
+    ones = (n**a - 1) // (n - 1)
+    banned = (n ** (a - remainder) - 1) // (n - 1) * n**remainder
+    extras = _eligible_ascending(n, a, [], {ones, 0, banned}, r_a - 2)
     long_word = Word((1,) * a + (0,) * (b - a))
-    banned = Word((1,) * (a - remainder) + (0,) * remainder)
-    extras: list[Word] = []
-    numeral = 0
-    while len(extras) < r_a - 2:
-        if numeral >= n**a:
-            raise ConstructionError(f"length {a}: ran out of distinct words", stage=a)
-        w = _numeral_to_word(numeral, a, n)
-        if w not in (ones, zeros, banned):
-            extras.append(w)
-        numeral += 1
-    words_at = {a: [ones, zeros] + extras, b: [long_word]}
+    words_at = {a: [_numeral_to_word(v, a, n) for v in [ones, 0] + extras], b: [long_word]}
     code = _arrange(raw, words_at, n)
     return code, InfiniteDelayWitnessSpec("two-values", a, b, remainder, quotient)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -214,3 +216,57 @@ def test_profile_arguments_accepted():
     p = LengthProfile.from_lengths((2, 3, 3))
     assert count_prefix_codes(p, 2).count == 120
     assert kraft_sum(p, 2) == Fraction(1, 2)
+
+
+# SHA-256 of every construction's outcome, recorded before the prefix
+# constructions shared one builder.  The sweep covers every ordered length
+# sequence of 1 to 4 words of lengths 1..5; `anchored_prefix_code` runs on
+# every pair a < b of its length values with every zero_word_length, valid
+# or not.  An outcome is the code's texts (and the witness spec), or the
+# error's type, message and stage.
+CONSTRUCTION_SHA256 = {
+    ("canonical", 2): "855f9ed8db3dd72d4c50488b095756c8f270aea49801a628993c8e84a066afb5",
+    ("canonical", 3): "a3f1414bba80af1bced6f390255c5985808b38aa74a0f31ab57fd099e670b428",
+    ("anchored", 2): "47766b941ac5f091886d98e3c1f8499ed322f1621cee21f7fb223f468465e438",
+    ("anchored", 3): "06a574b6631efe82520884579ef3f969dcec5e75b7e2b1497cc8bad8e4afe854",
+    ("nonprefix", 2): "c1d38dbd2e946dc8801e45ddf9cc2b3e47ba5cf88b5293257d4e69051dfb1330",
+    ("nonprefix", 3): "4cb183842246d9b0bee425533247def36afc2a9ced5d7c7da26983e8db4c6c8e",
+    ("infinite", 2): "1f9c790d0f15a15e9f11f44ab3e256687dceaf4761ea120a4822bac7df737b81",
+    ("infinite", 3): "30ca65531eac8a8e09ac606ce918fc2e8f3b7e0c57e12396915d3146bba20c1c",
+}
+
+
+def construction_outcome(build, *args, **kwargs):
+    try:
+        result = build(*args, **kwargs)
+    except CodesError as exc:
+        return f"{type(exc).__name__}|{exc}|{getattr(exc, 'stage', None)}"
+    if isinstance(result, tuple):
+        code, spec = result
+        return ",".join(code.texts()) + f"|{spec!r}"
+    return ",".join(result.texts())
+
+
+SEQUENCE_CONSTRUCTIONS = {
+    "canonical": canonical_prefix_code,
+    "nonprefix": ud_nonprefix_witness,
+    "infinite": infinite_delay_witness,
+}
+
+
+def construction_outcomes(name, n):
+    for m in range(1, 5):
+        for lengths in itertools.product(range(1, 6), repeat=m):
+            if name in SEQUENCE_CONSTRUCTIONS:
+                yield f"{lengths}:{construction_outcome(SEQUENCE_CONSTRUCTIONS[name], lengths, n)}\n"
+                continue
+            for a, b in itertools.combinations(sorted(set(lengths)), 2):
+                for z in (None, 1, 2, 3, 4, 5):
+                    built = construction_outcome(anchored_prefix_code, lengths, n, a, b, zero_word_length=z)
+                    yield f"{lengths},{a},{b},{z}:{built}\n"
+
+
+@pytest.mark.parametrize("name,n", sorted(CONSTRUCTION_SHA256))
+def test_constructions_pinned(name, n):
+    digest = hashlib.sha256("".join(construction_outcomes(name, n)).encode()).hexdigest()
+    assert digest == CONSTRUCTION_SHA256[name, n]
