@@ -11,6 +11,7 @@ Exit status: 0 ok, 1 verification discrepancy, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import decimal
 import json
 import os
@@ -26,9 +27,8 @@ from .census import (
     is_fd_eq_ud,
     is_pr_eq_ud,
     theorem1_bound,
-    universe_size,
 )
-from .decide import DelayReport, SPTrace, classify, delay_analysis, is_prefix_code, sardinas_patterson
+from .decide import DelayReport, SPTrace, classify, delay_analysis, sardinas_patterson
 from .enumeration import (
     BUILTIN_SUITE,
     bounded_delay_probe,
@@ -45,7 +45,7 @@ from .kraft import (
     kraft_sum,
     ud_nonprefix_witness,
 )
-from .words import Code, CodeFileError, CodesError, code_to_text, parse_code_file, parse_decimal
+from .words import CodeFileError, CodesError, code_to_text, parse_code_file, parse_decimal
 
 ENV_CAP = "CODES_UNIVERSE_CAP"
 
@@ -168,17 +168,6 @@ def _delay_payload(report: DelayReport) -> dict:
     return {"finite": report.finite, "value": report.delay, "witness": witness}
 
 
-def _classification_payload(code: Code) -> dict:
-    c = classify(code)
-    return {
-        "injective": c.injective,
-        "prefix": c.prefix,
-        "ud": c.ud,
-        "finite_delay": c.finite_delay,
-        "delay": c.delay,
-    }
-
-
 def _read_ascii(path: str) -> str:
     """The text of an input file; a CodeFileError names the line and column
     of its first byte that is not ASCII."""
@@ -200,15 +189,15 @@ def cmd_check(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
     inputs = {"file": args.file, "trace": args.trace, "delay": args.delay}
     text = _read_ascii(args.file)
     code = parse_code_file(text)
-    trace = sardinas_patterson(code)
+    c = classify(code)
     results: dict = {
         "alphabet": code.alphabet.size,
         "words": [w.text() for w in code.words],
-        "injective": len(set(code.words)) == len(code.words),
-        "prefix": is_prefix_code(code),
-        "ud": trace.unique,
+        "injective": c.injective,
+        "prefix": c.prefix,
+        "ud": c.ud,
     }
-    if not trace.unique:
+    if not c.ud:
         found = two_factorization_search(code, safe_bound(code))
         if found is not None:
             word, first, second = found
@@ -217,9 +206,14 @@ def cmd_check(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
                 "factorizations": [list(first), list(second)],
             }
     if args.trace:
-        results["sp_trace"] = _trace_payload(trace)
+        results["sp_trace"] = _trace_payload(sardinas_patterson(code))
     if args.delay:
-        results["delay"] = _delay_payload(delay_analysis(code))
+        # only an infinite delay of distinct words has a witness to build
+        if c.injective and not c.finite_delay:
+            report = delay_analysis(code)
+        else:
+            report = DelayReport(c.finite_delay, c.delay, None)
+        results["delay"] = _delay_payload(report)
     return inputs, results, 0
 
 
@@ -287,7 +281,7 @@ def cmd_witness(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
         }
     results["code_file"] = code_to_text(code)
     results["words"] = [w.text() for w in code.words]
-    results["classification"] = _classification_payload(code)
+    results["classification"] = dataclasses.asdict(classify(code))
     return inputs, results, 0
 
 
@@ -315,12 +309,11 @@ def _verify_profile(lengths: tuple[int, ...], n: int, cap: int, checks: list) ->
             }
         )
 
-    total = universe_size(lengths, n)
-    if total > cap:
-        record("census-cross-check", True, f"skipped: universe {total} above cap")
+    try:
+        report = census(lengths, n, mode="both", cap=cap)
+    except UniverseTooLarge as exc:
+        record("census-cross-check", True, f"skipped: universe {exc.total} above cap")
         return
-
-    report = census(lengths, n, mode="both", cap=cap)
     record(
         "census-cross-check",
         not report.discrepancies,
@@ -369,21 +362,16 @@ def _verify_profile(lengths: tuple[int, ...], n: int, cap: int, checks: list) ->
                 f"case {spec.case}: " + ",".join(code.texts()),
             )
 
-    if n == 2 and total <= ORACLE_UNIVERSE_LIMIT:
+    if n == 2 and report.total <= ORACLE_UNIVERSE_LIMIT:
         disagreements = 0
         sample = ""
         for code in enumerate_codes(lengths, n, cap):
-            trace = sardinas_patterson(code)
+            c = classify(code)
             bound = safe_bound(code)
-            found = two_factorization_search(code, bound)
-            ok = trace.unique == (found is None)
-            if ok and len(set(code.words)) == len(code.words):
-                analysis = delay_analysis(code)
+            ok = c.ud == (two_factorization_search(code, bound) is None)
+            if ok and c.injective:
                 probe = bounded_delay_probe(code, bound)
-                ok = (
-                    analysis.finite == (probe.verdict == "finite")
-                    and analysis.delay == probe.delay
-                )
+                ok = (c.finite_delay, c.delay) == (probe.verdict == "finite", probe.delay)
             if not ok:
                 disagreements += 1
                 sample = sample or ",".join(code.texts())

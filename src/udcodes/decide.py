@@ -527,9 +527,18 @@ def classify(code: Code) -> Classification:
     is uniquely decodable and the graph has no cycle.
     """
     _, words, width = _packed(code)
+    return Classification(*_classification(words, width))
+
+
+def _classification(
+    words: tuple[int, ...], width: int
+) -> tuple[bool, bool, bool, bool, Optional[int]]:
+    """(injective, prefix, ud, finite_delay, delay) of packed words, the
+    delay counted in letters of `width` bits; a repeated word puts the code
+    in none of the classes."""
     if len(set(words)) != len(words):
-        return Classification(False, False, False, False, None)
-    return Classification(True, *_classes(words, width))
+        return False, False, False, False, None
+    return (True, *_classes(words, width))
 
 
 def _classes(

@@ -21,7 +21,7 @@ from .census import (
     census,
     universe_size,
 )
-from .decide import _classes, _letter_width, _packed_pool, classify
+from .decide import _classification, _letter_width, _packed_pool, classify
 from .words import GLYPHS, Code, CodesError, ProfileLike, Word, as_length_sequence
 
 # Length sequences exercised by the verify command; all enumerable at n <= 3.
@@ -82,10 +82,7 @@ def write_classification_csv(
     chunk: list[str] = []
     rows = 0
     for words in itertools.product(*pools):
-        if len(set(words)) == len(words):
-            classes = (True, *_classes(words, width))
-        else:
-            classes = (False, False, False, False, None)
+        classes = _classification(words, width)
         tail = tails.get(classes)
         if tail is None:
             *flags, delay = classes

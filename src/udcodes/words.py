@@ -51,15 +51,6 @@ class Alphabet:
         if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 2:
             raise CodesError(f"alphabet size must be an integer >= 2, got {self.size!r}")
 
-    def glyph(self, letter: int) -> str:
-        if not 0 <= letter < self.size:
-            raise CodesError(f"letter {letter} outside alphabet of size {self.size}")
-        if letter >= len(GLYPHS):
-            raise CodesError(
-                f"letter {letter} has no glyph; text form supports at most {len(GLYPHS)} letters"
-            )
-        return GLYPHS[letter]
-
 
 @dataclass(frozen=True, order=True)
 class Word:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -76,6 +77,49 @@ def test_check_reports_counterexample(tmp_path):
     assert results["ud"] is False
     assert results["counterexample"]["word"] == "010"
     assert results["counterexample"]["factorizations"] == [["0", "2"], ["1", "0"]]
+
+
+def test_check_delay_of_a_code_with_a_repeated_word(tmp_path):
+    path = tmp_path / "repeated.txt"
+    path.write_text("alphabet 2\n01\n01\n1\n")
+    rc, payload = run_json("check", str(path), "--delay")
+    assert rc == 0
+    assert payload["status"] == "ok"
+    results = payload["results"]
+    assert (results["injective"], results["prefix"], results["ud"]) == (False, False, False)
+    assert results["delay"] == {"finite": False, "value": None, "witness": None}
+
+
+def _forbid(monkeypatch, *names):
+    """Make the named deciders raise, in cli and where they are defined."""
+    decide = importlib.import_module("udcodes.decide")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called a decider that classify replaces")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, forbidden, raising=False)
+        monkeypatch.setattr(decide, name, forbidden)
+
+
+@pytest.mark.parametrize(
+    "words",
+    (
+        ["10", "100", "000"],  # UD, infinite delay
+        ["0", "01", "10"],  # not UD
+        ["0", "10", "11"],  # prefix
+        ["0", "01"],  # finite delay 2
+        ["01", "01", "1"],  # repeated word
+    ),
+)
+@pytest.mark.parametrize("options", ((), ("--delay",)))
+def test_check_reads_every_class_from_classify(tmp_path, monkeypatch, words, options):
+    path = tmp_path / "code.txt"
+    path.write_text("alphabet 2\n" + "\n".join(words) + "\n")
+    expected = run("check", str(path), *options)
+    _forbid(monkeypatch, "sardinas_patterson", "is_prefix_code")
+    assert run("check", str(path), *options) == expected
+    assert expected[0] == 0
 
 
 def test_check_bad_glyph_reports_position(tmp_path):
@@ -231,6 +275,27 @@ def test_verify_builtin_suite():
         entry["detail"] for entry in results["checks"] if entry["check"] == "ratio-bound"
     }
     assert "a=2 b=3 lower=13/12 ratio=3/2" in ratio_details
+
+
+def test_verify_checks_classify_without_the_reference_deciders(monkeypatch):
+    _forbid(monkeypatch, "sardinas_patterson", "delay_analysis", "is_prefix_code")
+    rc, payload = run_json("verify", "--alphabet-max", "2")
+    assert rc == 0
+    assert payload["results"]["checks_run"] == "54"
+
+
+def test_verify_oracles_catch_a_wrong_delay(monkeypatch):
+    real = cli.classify
+
+    def off_by_one(code):
+        c = real(code)
+        return dataclasses.replace(c, delay=None if c.delay is None else c.delay + 1)
+
+    monkeypatch.setattr(cli, "classify", off_by_one)
+    rc, payload = run_json("verify", "--alphabet-max", "2")
+    assert rc == 1
+    failed = {entry["check"] for entry in payload["results"]["checks"] if not entry["ok"]}
+    assert failed == {"oracle-agreement"}
 
 
 def test_verify_custom_suite(tmp_path):
