@@ -141,6 +141,19 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _universe_cap() -> int:
+    raw = os.environ.get(ENV_CAP)
+    if raw is None:
+        return DEFAULT_UNIVERSE_CAP
+    try:
+        cap = parse_decimal(raw)
+    except ValueError:
+        raise CodesError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise CodesError(f"{ENV_CAP} must be positive, got {cap}")
+    return cap
+
+
 def _trace_payload(trace: SPTrace) -> dict:
     rounds = [sorted(w.text() for w in round_) for round_ in trace.rounds]
     violation = None
@@ -185,8 +198,7 @@ def _read_ascii(path: str) -> str:
         ) from None
 
 
-def cmd_check(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
-    inputs = {"file": args.file, "trace": args.trace, "delay": args.delay}
+def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     text = _read_ascii(args.file)
     code = parse_code_file(text)
     c = classify(code)
@@ -214,16 +226,11 @@ def cmd_check(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
         else:
             report = DelayReport(c.finite_delay, c.delay, None)
         results["delay"] = _delay_payload(report)
-    return inputs, results, 0
+    return results, 0
 
 
-def cmd_count(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
-    inputs = {
-        "lengths": args.lengths,
-        "alphabet": args.alphabet,
-        "method": args.method,
-        "anchored": args.anchored,
-    }
+def cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
+    cap = _universe_cap()
     lengths = _parse_lengths(args.lengths)
     n = args.alphabet
     mode = {"enumerate": "enumeration"}.get(args.method, args.method)
@@ -257,12 +264,10 @@ def cmd_count(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
             "ratio": bound.ratio,
             "satisfied": bound.satisfied,
         }
-    exit_code = 1 if report.discrepancies else 0
-    return inputs, results, exit_code
+    return results, 1 if report.discrepancies else 0
 
 
-def cmd_witness(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
-    inputs = {"kind": args.kind, "lengths": args.lengths, "alphabet": args.alphabet}
+def cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
     lengths = _parse_lengths(args.lengths)
     n = args.alphabet
     results: dict = {}
@@ -282,7 +287,7 @@ def cmd_witness(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
     results["code_file"] = code_to_text(code)
     results["words"] = [w.text() for w in code.words]
     results["classification"] = dataclasses.asdict(classify(code))
-    return inputs, results, 0
+    return results, 0
 
 
 def _read_suite(path: str) -> tuple[tuple[int, ...], ...]:
@@ -382,9 +387,13 @@ def _verify_profile(lengths: tuple[int, ...], n: int, cap: int, checks: list) ->
         )
 
 
-def cmd_verify(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
-    inputs = {"suite": args.suite, "alphabet_max": args.alphabet_max}
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    cap = _universe_cap()
     suite = _read_suite(args.suite) if args.suite else BUILTIN_SUITE
+    if args.alphabet_max < 2:
+        raise CodesError(f"--alphabet-max must be at least 2, got {args.alphabet_max}")
+    if not suite:
+        raise CodesError(f"suite file {args.suite!r} holds no length sequence")
     checks: list = []
     for lengths in suite:
         for n in range(2, args.alphabet_max + 1):
@@ -396,7 +405,7 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
         "all_passed": not failures,
         "checks": checks,
     }
-    return inputs, results, 1 if failures else 0
+    return results, 1 if failures else 0
 
 
 class _OpenOnWrite:
@@ -414,23 +423,19 @@ class _OpenOnWrite:
         return self.handle.write(text)
 
 
-def cmd_classify_all(args: argparse.Namespace, cap: int) -> tuple[dict, dict, int]:
-    inputs = {
-        "lengths": args.lengths,
-        "alphabet": args.alphabet,
-        "output": args.output,
-    }
+def cmd_classify_all(args: argparse.Namespace) -> tuple[Optional[dict], int]:
+    cap = _universe_cap()
     lengths = _parse_lengths(args.lengths)
     if args.output in (None, "-"):
         write_classification_csv(lengths, args.alphabet, sys.stdout, cap=cap)
-        return inputs, {}, 0
+        return None, 0
     out = _OpenOnWrite(args.output)
     try:
         rows = write_classification_csv(lengths, args.alphabet, out, cap=cap)
     finally:
         if out.handle is not None:
             out.handle.close()
-    return inputs, {"rows": rows, "path": args.output}, 0
+    return {"rows": rows, "path": args.output}, 0
 
 
 def _render_pretty(value: Any, indent: int = 0) -> list[str]:
@@ -517,19 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _universe_cap() -> int:
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return DEFAULT_UNIVERSE_CAP
-    try:
-        cap = parse_decimal(raw)
-    except ValueError:
-        raise CodesError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise CodesError(f"{ENV_CAP} must be positive, got {cap}")
-    return cap
-
-
 def _emit(report: dict, pretty: bool) -> None:
     if pretty:
         print("\n".join(_render_pretty(report)))
@@ -545,15 +537,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    report: dict = {"command": args.command, "inputs": {}, "results": {}}
     try:
-        cap = _universe_cap()
-        inputs, results, exit_code = args.handler(args, cap)
-        report = {
-            "command": args.command,
-            "inputs": _s(inputs),
-            "results": _s(results),
-            "status": "ok",
-        }
+        # a handler returns (results, exit code), or results None when it
+        # wrote its own output
+        results, exit_code = args.handler(args)
+        if results is None:
+            return exit_code
+        # the subcommand's own arguments, in the order it declares them
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "pretty")}
+        report.update(inputs=_s(inputs), results=_s(results), status="ok")
     except (CodesError, OSError) as exc:
         error: dict = {"message": str(exc)}
         if isinstance(exc, CodeFileError):
@@ -561,16 +554,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             error["column"] = _s(exc.column)
         if isinstance(exc, UniverseTooLarge):
             error["universe"] = _s(exc.total)
-        report = {
-            "command": args.command,
-            "inputs": {},
-            "results": {},
-            "status": "error",
-            "error": error,
-        }
+        report.update(status="error", error=error)
         exit_code = 2
-    if not (args.command == "classify-all" and args.output in (None, "-") and report["status"] == "ok"):
-        _emit(report, args.pretty)
+    _emit(report, args.pretty)
     return exit_code
 
 

@@ -409,8 +409,6 @@ def _finite_delay(
     for state, (i, _) in initials:
         consumed[state] = max(consumed.get(state, -1), sized[i][1])
     for state in order:
-        if state not in consumed:
-            continue
         bits = state.bit_length() - 2
         for idx, nxt in adj[state]:
             # overshoot hands the lead over: the new trailing side is the old
@@ -424,9 +422,9 @@ def _finite_delay(
     return best // width + 1
 
 
-def _finish_catch(words, stream, pair):
-    period = min(words)
-    pre, per = _normalize_periodic(stream, period)
+def _witness(words, pair, preamble, period):
+    """preamble.period^inf, normalized, with the first words of `pair`."""
+    pre, per = _normalize_periodic(preamble, period)
     i, j = pair
     return InfiniteWitness(Word(pre), Word(per), (Word(words[i]), Word(words[j])))
 
@@ -443,14 +441,9 @@ def _finish_cycle(words, entry, stream, pair, adj, on_cycle, width):
             added.extend(_unpack(nxt >> 1, width))
         if nxt in seen_at:
             cut = seen_at[nxt]
-            pre = stream + tuple(added[:cut])
-            per = tuple(added[cut:])
-            break
+            return _witness(words, pair, stream + tuple(added[:cut]), tuple(added[cut:]))
         seen_at[nxt] = len(added)
         pos = nxt
-    pre, per = _normalize_periodic(pre, per)
-    i, j = pair
-    return InfiniteWitness(Word(pre), Word(per), (Word(words[i]), Word(words[j])))
 
 
 def _assemble_witness(words, initials, adj, catch, on_cycle, width):
@@ -471,7 +464,7 @@ def _assemble_witness(words, initials, adj, catch, on_cycle, width):
         state = queue.popleft()
         stream, pair = info[state]
         if catch[state]:
-            return _finish_catch(words, stream, pair)
+            return _witness(words, pair, stream, min(words))
         if state in on_cycle:
             return _finish_cycle(words, state, stream, pair, adj, on_cycle, width)
         for _, nxt in sorted(adj[state]):

@@ -79,6 +79,16 @@ def test_check_reports_counterexample(tmp_path):
     assert results["counterexample"]["factorizations"] == [["0", "2"], ["1", "0"]]
 
 
+def test_check_trace_reports_the_violation(tmp_path):
+    path = tmp_path / "nonud.txt"
+    path.write_text("alphabet 2\n0\n01\n10\n")
+    rc, payload = run_json("check", str(path), "--trace")
+    assert rc == 0
+    trace = payload["results"]["sp_trace"]
+    assert trace["rounds"] == [["0", "01", "10"], ["1"], ["0"], ["1"]]
+    assert trace["violation"] == {"round": "2", "word": "0"}
+
+
 def test_check_delay_of_a_code_with_a_repeated_word(tmp_path):
     path = tmp_path / "repeated.txt"
     path.write_text("alphabet 2\n01\n01\n1\n")
@@ -320,12 +330,36 @@ def test_verify_suite_with_non_ascii_byte_reports_line(tmp_path):
 
 
 def test_verify_empty_suite(tmp_path):
+    # a run that can make no check must not pass
     suite = tmp_path / "empty.txt"
-    suite.write_text("# nothing here\n")
+    suite.write_text("# nothing here\n\n  \t\n")
     rc, payload = run_json("verify", "--suite", str(suite))
+    assert rc == 2
+    assert payload["status"] == "error"
+    assert payload["error"]["message"] == f"suite file {str(suite)!r} holds no length sequence"
+
+
+@pytest.mark.parametrize("alphabet_max", ("1", "-5"))
+def test_verify_refuses_an_alphabet_max_below_2(alphabet_max):
+    rc, payload = run_json("verify", "--alphabet-max", alphabet_max)
+    assert rc == 2
+    assert payload["status"] == "error"
+    assert payload["error"]["message"] == f"--alphabet-max must be at least 2, got {alphabet_max}"
+
+
+def test_verify_skips_profiles_above_the_cap(monkeypatch):
+    monkeypatch.setenv("CODES_UNIVERSE_CAP", "100")
+    rc, payload = run_json("verify", "--alphabet-max", "2")
     assert rc == 0
-    assert payload["results"]["checks_run"] == "0"
     assert payload["results"]["all_passed"] is True
+    skipped = [e for e in payload["results"]["checks"] if e["detail"].startswith("skipped")]
+    # (1,2,4) and (2,2,3) have 128 codes, (2,2,4) and (2,3,3) have 256
+    assert [(e["profile"], e["check"], e["detail"]) for e in skipped] == [
+        ("1,2,4", "census-cross-check", "skipped: universe 128 above cap"),
+        ("2,2,3", "census-cross-check", "skipped: universe 128 above cap"),
+        ("2,2,4", "census-cross-check", "skipped: universe 256 above cap"),
+        ("2,3,3", "census-cross-check", "skipped: universe 256 above cap"),
+    ]
 
 
 def test_classify_all_stdout():
@@ -479,6 +513,26 @@ def test_universe_cap_env(monkeypatch):
     assert "above the cap of 10" in payload["error"]["message"]
 
 
+def test_universe_cap_env_must_be_positive(monkeypatch):
+    monkeypatch.setenv("CODES_UNIVERSE_CAP", "0")
+    rc, payload = run_json("count", "--lengths", "2,3,3", "--alphabet", "2")
+    assert rc == 2
+    assert payload["error"]["message"] == "CODES_UNIVERSE_CAP must be positive, got 0"
+
+
+@pytest.mark.parametrize("cap", ("bogus", "0"))
+@pytest.mark.parametrize("command", ("check", "witness"))
+def test_commands_that_enumerate_nothing_ignore_the_cap(ud_file, monkeypatch, command, cap):
+    argv = {
+        "check": ("check", ud_file),
+        "witness": ("witness", "--kind", "prefix", "--lengths", "2,3,3", "--alphabet", "2"),
+    }[command]
+    expected = run(*argv)
+    monkeypatch.setenv("CODES_UNIVERSE_CAP", cap)
+    assert run(*argv) == expected
+    assert expected[0] == 0
+
+
 def test_universe_cap_env_must_be_integer(monkeypatch):
     monkeypatch.setenv("CODES_UNIVERSE_CAP", "bogus")
     rc, payload = run_json("count", "--lengths", "2,3,3", "--alphabet", "2")
@@ -495,6 +549,17 @@ def test_pretty_rendering():
     assert "{" not in out
 
 
+def test_pretty_rendering_of_a_list_of_records(tmp_path):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("2,3,3\n")
+    rc, out, _err = run("--pretty", "verify", "--suite", str(suite), "--alphabet-max", "2")
+    assert rc == 0
+    assert out.startswith(f"command: verify\ninputs:\n  suite: {suite}\n  alphabet_max: 2\n")
+    assert "\n  checks:\n    -\n      profile: 2,3,3\n      n: 2\n" in out
+    assert out.count("\n    -\n") == 7
+    assert "{" not in out
+
+
 def test_bad_arguments_exit_2():
     rc, _out, _err = run("count", "--alphabet", "2")
     assert rc == 2
@@ -508,6 +573,15 @@ def test_bad_lengths_argument():
     rc, payload = run_json("count", "--lengths", "2,x", "--alphabet", "2")
     assert rc == 2
     assert payload["status"] == "error"
+
+
+def test_anchored_takes_exactly_two_lengths():
+    rc, payload = run_json(
+        "count", "--lengths", "2,3,3", "--alphabet", "2", "--anchored", "2,3,4"
+    )
+    assert rc == 2
+    message = payload["error"]["message"]
+    assert message == "--anchored expects two comma-separated lengths, got '2,3,4'"
 
 
 @pytest.mark.parametrize(

@@ -326,6 +326,13 @@ def test_two_factorization_search():
     assert (first, second) == ((0, 2), (1, 0))
 
 
+def test_search_stops_at_its_length_bound():
+    c = code("0", "01", "10")
+    assert two_factorization_search(c, 2) is None
+    stream, _, _ = two_factorization_search(c, 3)
+    assert stream == Word((0, 1, 0))
+
+
 def test_search_finds_duplicate_words_immediately():
     stream, first, second = two_factorization_search(code("0", "00"), 10)
     assert stream == Word((0, 0))
@@ -571,6 +578,23 @@ def test_classification_csv_pinned(lengths, n):
     rows = write_classification_csv(lengths, n, buf)
     assert rows == n ** sum(lengths)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CSV_SHA256[lengths, n]
+
+
+def test_classification_csv_rows_span_several_chunks():
+    """(2,3,3) over 3 letters has 6561 codes, more than one chunk of rows;
+    each row is its code's text and classify's verdict."""
+    buf = io.StringIO()
+    rows = write_classification_csv((2, 3, 3), 3, buf)
+    assert rows == 6561 > enumeration._CSV_CHUNK
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "code,injective,prefix,ud,finite_delay,delay"
+    expected = []
+    for c in enumerate_codes((2, 3, 3), 3):
+        verdict = classify(c)
+        flags = (verdict.injective, verdict.prefix, verdict.ud, verdict.finite_delay)
+        delay = "" if verdict.delay is None else str(verdict.delay)
+        expected.append(";".join(c.texts()) + "," + ",".join(map(str, flags)).lower() + "," + delay)
+    assert lines[1:] == expected
 
 
 def test_classification_csv_refuses_before_writing():

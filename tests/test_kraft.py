@@ -133,6 +133,13 @@ def test_anchored_prefix_code_zero_word_validation():
         anchored_prefix_code((2, 3, 3), 2, 2, 3, zero_word_length=5)
 
 
+def test_anchored_prefix_code_names_the_stage_that_runs_out():
+    # length 2 has one slot, wanted by both the anchor 01 and the zero word 00
+    with pytest.raises(ConstructionError) as info:
+        anchored_prefix_code((1, 2), 2, 1, 2, zero_word_length=2)
+    assert info.value.stage == 2
+
+
 def test_ud_nonprefix_witness():
     w = ud_nonprefix_witness((2, 3, 3), 2)
     assert w.texts() == ("10", "100", "000")
