@@ -46,7 +46,7 @@ def count_233(n: int) -> CodeCounts:
     letters x,y there are n^3(n^3-1) - 2(n+1) decodable completions (the bad
     pairs are (xyx, yxy) and (xyz, zxy) up to reversal), with a repeated
     letter there are (n^3-1)(n^3-2) - 2(n-1).  Both counts agree with
-    exhaustive enumeration at n = 2 and n = 3.
+    exhaustive enumeration at n = 2, 3, 4 and 5.
     """
     Alphabet(n)
     distinct_pair = n**3 * (n**3 - 1) - 2 * (n + 1)

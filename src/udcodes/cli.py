@@ -530,6 +530,18 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        exit_code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone, so no report can reach it; stdout
+        # is pointed at devnull, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return exit_code
+
+
+def _run(argv: Optional[list[str]]) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # counts are printed in full, however long
     parser = build_parser()
@@ -547,6 +559,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the subcommand's own arguments, in the order it declares them
         inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "pretty")}
         report.update(inputs=_s(inputs), results=_s(results), status="ok")
+    except BrokenPipeError:
+        raise  # a closed stdout: main ends the run without a report
     except (CodesError, OSError) as exc:
         error: dict = {"message": str(exc)}
         if isinstance(exc, CodeFileError):

@@ -6,9 +6,11 @@ independent of the decision module's algorithms.
 
 from __future__ import annotations
 
+import array
 import collections
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
@@ -21,7 +23,7 @@ from .census import (
     census,
     universe_size,
 )
-from .decide import _classification, _letter_width, _packed_pool, classify
+from .decide import RawWord, _classification, _letter_width, _packed_pool, classify
 from .words import GLYPHS, Code, CodesError, ProfileLike, Word, as_length_sequence
 
 # Length sequences exercised by the verify command; all enumerable at n <= 3.
@@ -63,6 +65,19 @@ def write_classification_csv(
     code, in the order of enumerate_codes; returns the number of rows.
     Nothing is written unless the alphabet has a text form.
 
+    The kernel runs once per orbit of two moves, each of which keeps every
+    class: reordering the words of equal length, since each class depends
+    only on the set of words (a repeated word stays repeated), and the
+    letter reversal a -> n-1-a, since a renaming of the letters maps each
+    factorization to a factorization letter for letter.  The first code of
+    an orbit in the walk is classified and its class id stored at every
+    code of the orbit; the later ones read it back.  A code's index in the
+    walk is the base-n value of its letters, so the reversal maps index k to
+    total-1-k.  The two moves make up every renaming only at n = 2; at
+    n >= 3 an orbit of renamings splits into several, each classified once.
+    The ids take 2 bytes per code (0: not yet classified), and nothing else
+    kept grows with the universe.
+
     No field needs quoting (glyphs, ';', true/false and digits), so a row is
     the code's text and one cached string per classification, and rows are
     written in chunks."""
@@ -70,31 +85,85 @@ def write_classification_csv(
     _checked_alphabet(lengths, n, cap)
     if n > len(GLYPHS):
         raise CodesError(f"alphabet of size {n} exceeds the {len(GLYPHS)}-letter text form")
-    pools = [_packed_pool(length, n) for length in lengths]
+    # tuples, which itertools.product keeps without a copy
+    pools = [tuple(_packed_pool(length, n)) for length in lengths]
     texts = {
         packed: "".join(GLYPHS[s] for s in w)
         for length, pool in zip(lengths, pools)
         for packed, w in zip(pool, _raw_pool(length, n))
     }
+    # The index of a code is a mixed-radix number whose digits are the ranks
+    # of its words in their pools; per length shared by several words, the
+    # radix of that length and the place value of each of its positions.
+    groups = [
+        (n**v, [n ** sum(lengths[j + 1 :]) for j in range(len(lengths)) if lengths[j] == v])
+        for v in sorted(set(lengths))
+        if lengths.count(v) > 1
+    ]
     width = _letter_width(n)
+    total = universe_size(lengths, n)
+    ids = array.array("H", [0]) * total
     out.write("code,injective,prefix,ud,finite_delay,delay\n")
-    tails: dict[tuple, str] = {}
+    id_of: dict[tuple, int] = {}
+    tails = [""]
     chunk: list[str] = []
-    rows = 0
-    for words in itertools.product(*pools):
-        classes = _classification(words, width)
-        tail = tails.get(classes)
-        if tail is None:
-            *flags, delay = classes
-            fields = [*map(_csv_bool, flags), "" if delay is None else str(delay)]
-            tail = tails[classes] = "," + ",".join(fields) + "\n"
-        chunk.append(";".join(map(texts.__getitem__, words)) + tail)
-        rows += 1
+    for k, words in enumerate(itertools.product(*pools)):
+        class_id = ids[k]
+        if not class_id:
+            classes = _classification(words, width)
+            class_id = id_of.get(classes)
+            if class_id is None:
+                # a class is four flags and a delay of O((sum of lengths)^2)
+                # letters, so ids stay far below 2^16 on any universe that
+                # fits in memory
+                class_id = id_of[classes] = len(tails)
+                *flags, delay = classes
+                fields = [*map(_csv_bool, flags), "" if delay is None else str(delay)]
+                tails.append("," + ",".join(fields) + "\n")
+            for image in _reorderings(k, groups):
+                ids[image] = ids[total - 1 - image] = class_id
+        chunk.append(";".join(map(texts.__getitem__, words)) + tails[class_id])
         if len(chunk) == _CSV_CHUNK:
             out.write("".join(chunk))
             chunk.clear()
     out.write("".join(chunk))
-    return rows
+    return total
+
+
+def _reorderings(k: int, groups: list[tuple[int, list[int]]]) -> Iterator[int]:
+    """The index of every distinct code made from the code at index k by
+    reordering its words within each group of positions, given as the radix
+    of the group's rank digits and their place values."""
+    if not groups:
+        yield k
+        return
+    (radix, weights), *others = groups
+    ranks = [k // weight % radix for weight in weights]
+    own = sum(map(operator.mul, ranks, weights))
+    for ordered in _orders(ranks, weights):
+        yield from _reorderings(k - own + ordered, others)
+
+
+def _orders(values: list[int], weights: list[int]) -> Iterator[int]:
+    """sum of order[j] * weights[j] over the distinct orders of values, each
+    once: every next order is made in place as the lexicographic successor
+    of the last (repeated values give no repeated order), so the work is
+    bounded by the orbit's size, not by the number of permutations, and the
+    memory by the number of values."""
+    order = sorted(values)
+    last = len(order) - 1
+    while True:
+        yield sum(map(operator.mul, order, weights))
+        i = last - 1
+        while i >= 0 and order[i] >= order[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while order[j] <= order[i]:
+            j -= 1
+        order[i], order[j] = order[j], order[i]
+        order[i + 1 :] = reversed(order[i + 1 :])
 
 
 def _csv_bool(flag: bool) -> str:
@@ -122,6 +191,7 @@ def safe_bound(code: Code) -> int:
 
 
 _Search = tuple[Word, tuple[int, ...], tuple[int, ...]]
+_RawSearch = tuple[RawWord, tuple[int, ...], tuple[int, ...]]
 
 
 def two_factorization_search(code: Code, length_bound: int) -> Optional[_Search]:
@@ -129,11 +199,12 @@ def two_factorization_search(code: Code, length_bound: int) -> Optional[_Search]
     code-word factorizations, scanning candidate streams up to length_bound
     letters; None when there is none.  Earliest means shortest, ties broken
     lexicographically.  With length_bound >= safe_bound(code), None is a
-    proof of unique decodability."""
+    proof of unique decodability.  The search runs on symbol tuples, which
+    order as their Words do; only the word returned is made a Word."""
     if length_bound < 1:
         raise CodesError(f"length bound must be >= 1, got {length_bound}")
-    words = code.words
-    best: Optional[_Search] = None
+    words = [word.symbols for word in code.words]
+    best: Optional[_RawSearch] = None
     for i, j in itertools.combinations(range(len(words)), 2):
         if words[i] == words[j] and len(words[i]) <= length_bound:
             candidate = (words[i], (i,), (j,))
@@ -143,14 +214,14 @@ def two_factorization_search(code: Code, length_bound: int) -> Optional[_Search]
     # Heap states: the leader side has emitted `stream`, of which the final
     # `dangling` letters are not yet matched by the trailing side.  Keys are
     # (length, stream) so the first completion popped is the earliest.
-    heap: list[tuple[int, Word, Word, tuple[int, ...], tuple[int, ...]]] = []
+    heap: list[tuple[int, RawWord, RawWord, tuple[int, ...], tuple[int, ...]]] = []
     for i, leader in enumerate(words):
         for j, trailer in enumerate(words):
-            if i != j and trailer.is_prefix_of(leader) and len(trailer) < len(leader):
+            if i != j and len(trailer) < len(leader) and leader[: len(trailer)] == trailer:
                 heapq.heappush(
                     heap, (len(leader), leader, leader[len(trailer):], (j,), (i,))
                 )
-    seen: set[Word] = set()
+    seen: set[RawWord] = set()
     while heap:
         stream_len, stream, dangling, trailing_fact, leading_fact = heapq.heappop(heap)
         if best is not None and (stream_len, stream) >= _search_key(best)[:2]:
@@ -168,7 +239,7 @@ def two_factorization_search(code: Code, length_bound: int) -> Optional[_Search]
                 if best is None or _search_key(candidate) < _search_key(best):
                     best = candidate
                 continue
-            if dangling.is_prefix_of(word):
+            if word[: len(dangling)] == dangling:
                 extension = word[len(dangling):]
                 heapq.heappush(
                     heap,
@@ -180,7 +251,7 @@ def two_factorization_search(code: Code, length_bound: int) -> Optional[_Search]
                         trailing_fact + (idx,),
                     ),
                 )
-            elif word.is_prefix_of(dangling):
+            elif dangling[: len(word)] == word:
                 heapq.heappush(
                     heap,
                     (
@@ -191,12 +262,13 @@ def two_factorization_search(code: Code, length_bound: int) -> Optional[_Search]
                         leading_fact,
                     ),
                 )
-    if best is not None and len(best[0]) > length_bound:
+    if best is None or len(best[0]) > length_bound:
         return None
-    return best
+    stream, first, second = best
+    return Word(stream), first, second
 
 
-def _search_key(found: _Search):
+def _search_key(found: _RawSearch):
     word, first, second = found
     return (len(word), word, first, second)
 

@@ -37,6 +37,14 @@ def test_count_pr_pair_order_agnostic():
 def test_count_233():
     assert count_233(2) == CodeCounts(ud=180, pr=120)
     assert count_233(3) == CodeCounts(ud=6102, pr=4968)
+    assert count_233(4) == CodeCounts(ud=63864, pr=56640)
+    assert count_233(5) == CodeCounts(ud=385980, pr=357000)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_count_233_matches_enumeration(n):
+    report = census((2, 3, 3), n, mode="enumeration")
+    assert count_233(n) == CodeCounts(ud=report.ud, pr=report.pr)
 
 
 def test_count_233_prefix_part_matches_recurrence():

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from udcodes import cli
 from udcodes.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(*argv):
@@ -373,6 +376,25 @@ def test_classify_all_stdout():
     assert len(lines) == 9
     # no JSON report mixed into the CSV stream
     assert "{" not in out
+
+
+def test_classify_all_into_a_closed_pipe_ends_quietly():
+    """A reader that stops after one line (as `| head -1` does) ends the
+    run with exit status 2, and neither a traceback nor a report."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    argv = ["classify-all", "--lengths", "3,4,5,5", "--alphabet", "2"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "udcodes.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"code,injective,prefix,ud,finite_delay,delay\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert stderr == b""
 
 
 def test_classify_all_without_text_form_writes_only_the_error():

@@ -580,21 +580,74 @@ def test_classification_csv_pinned(lengths, n):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CSV_SHA256[lengths, n]
 
 
+def _length_orders(profile):
+    return sorted(set(itertools.permutations(profile)))
+
+
 def test_classification_csv_rows_span_several_chunks():
     """(2,3,3) over 3 letters has 6561 codes, more than one chunk of rows;
-    each row is its code's text and classify's verdict."""
-    buf = io.StringIO()
-    rows = write_classification_csv((2, 3, 3), 3, buf)
-    assert rows == 6561 > enumeration._CSV_CHUNK
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "code,injective,prefix,ud,finite_delay,delay"
-    expected = []
-    for c in enumerate_codes((2, 3, 3), 3):
-        verdict = classify(c)
-        flags = (verdict.injective, verdict.prefix, verdict.ud, verdict.finite_delay)
-        delay = "" if verdict.delay is None else str(verdict.delay)
-        expected.append(";".join(c.texts()) + "," + ",".join(map(str, flags)).lower() + "," + delay)
-    assert lines[1:] == expected
+    each row is its code's text and classify's verdict.  So it is in every
+    order of profiles with repeated lengths, where most rows are read back
+    from an earlier code's orbit under word reordering and letter reversal."""
+    assert 6561 > enumeration._CSV_CHUNK
+    cases = [((2, 3, 3), 3)] + [
+        (lengths, n)
+        for profile, n in [
+            ((2, 2, 3, 3), 2),
+            ((2, 2, 3), 3),
+            ((1, 2, 2), 4),
+            ((1, 1, 2), 5),
+            ((1, 1, 1, 2), 3),
+        ]
+        for lengths in _length_orders(profile)
+    ]
+    for lengths, n in cases:
+        buf = io.StringIO()
+        rows = write_classification_csv(lengths, n, buf)
+        lines = buf.getvalue().splitlines()
+        assert rows == len(lines) - 1 == n ** sum(lengths), lengths
+        assert lines[0] == "code,injective,prefix,ud,finite_delay,delay"
+        expected = []
+        for c in enumerate_codes(lengths, n):
+            verdict = classify(c)
+            flags = (verdict.injective, verdict.prefix, verdict.ud, verdict.finite_delay)
+            delay = "" if verdict.delay is None else str(verdict.delay)
+            expected.append(";".join(c.texts()) + "," + ",".join(map(str, flags)).lower() + "," + delay)
+        assert lines[1:] == expected, (lengths, n)
+
+
+@pytest.mark.parametrize(
+    "profile,n,calls",
+    [
+        ((3, 3, 4, 5), 2, 9216),
+        ((2, 2, 3, 3, 4), 2, 2880),
+        ((2, 3, 3), 3, 1708),
+        ((1, 1, 2), 10, 2750),
+        ((1, 1, 1, 2), 3, 46),
+        ((2, 2, 2, 3), 2, 80),
+        ((1, 1, 1, 1), 4, 19),
+    ],
+    ids=["3345-2", "22334-2", "233-3", "112-10", "1112-3", "2223-2", "1111-4"],
+)
+def test_classification_csv_kernel_calls(monkeypatch, profile, n, calls):
+    """One kernel call per orbit of word reordering and letter reversal, in
+    every order of the lengths; without the fold there was one per code
+    (32,768, 16,384, 6,561 and 10,000 calls on the first four).  Each count
+    equals the number of orbits found by a brute force that keys every code
+    by the least of it and its reversal with each group of equal-length
+    words sorted."""
+    kernel = enumeration._classification
+
+    for lengths in _length_orders(profile):
+        seen = []
+
+        def counted(words, width):
+            seen.append(words)
+            return kernel(words, width)
+
+        monkeypatch.setattr(enumeration, "_classification", counted)
+        write_classification_csv(lengths, n, io.StringIO())
+        assert len(seen) == calls, lengths
 
 
 def test_classification_csv_refuses_before_writing():
