@@ -1,6 +1,9 @@
-"""Tiny graph helpers shared by the delay analysis and its oracle, both read
-off one pass of Tarjan's strongly-connected-components algorithm: linear, and
-on an explicit stack, since the delay probe passes up to 200k states."""
+"""Tiny graph helpers for the delay analysis, which reads the cycle set of
+an ambiguity graph off them for its infinite-delay witness.  Both answers
+come off one pass of Tarjan's strongly-connected-components algorithm:
+linear, and on an explicit stack, since an ambiguity graph can be deeper
+than Python's recursion limit.  The delay probe, the analysis' oracle, finds
+its cycles in its own walk and uses none of this."""
 
 from __future__ import annotations
 

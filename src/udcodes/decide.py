@@ -523,6 +523,10 @@ def classify(code: Code) -> Classification:
     return Classification(*_classification(words, width))
 
 
+# (injective, prefix, ud, finite_delay, delay) of a code with a repeated word
+_IN_NO_CLASS = (False, False, False, False, None)
+
+
 def _classification(
     words: tuple[int, ...], width: int
 ) -> tuple[bool, bool, bool, bool, Optional[int]]:
@@ -530,7 +534,7 @@ def _classification(
     delay counted in letters of `width` bits; a repeated word puts the code
     in none of the classes."""
     if len(set(words)) != len(words):
-        return False, False, False, False, None
+        return _IN_NO_CLASS
     return (True, *_classes(words, width))
 
 

@@ -7,14 +7,12 @@ independent of the decision module's algorithms.
 from __future__ import annotations
 
 import array
-import collections
 import heapq
 import itertools
 import operator
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
-from ._graph import order_and_cycles
 # census, classify and universe_size are re-exported: callers reach them here.
 from .census import (
     DEFAULT_UNIVERSE_CAP,
@@ -23,7 +21,7 @@ from .census import (
     census,
     universe_size,
 )
-from .decide import RawWord, _classification, _letter_width, _packed_pool, classify
+from .decide import _IN_NO_CLASS, RawWord, _classification, _letter_width, _packed_pool, classify
 from .words import GLYPHS, Code, CodesError, ProfileLike, Word, as_length_sequence
 
 # Length sequences exercised by the verify command; all enumerable at n <= 3.
@@ -65,13 +63,14 @@ def write_classification_csv(
     code, in the order of enumerate_codes; returns the number of rows.
     Nothing is written unless the alphabet has a text form.
 
-    The kernel runs once per orbit of two moves, each of which keeps every
-    class: reordering the words of equal length, since each class depends
-    only on the set of words (a repeated word stays repeated), and the
-    letter reversal a -> n-1-a, since a renaming of the letters maps each
-    factorization to a factorization letter for letter.  The first code of
-    an orbit in the walk is classified and its class id stored at every
-    code of the orbit; the later ones read it back.  A code's index in the
+    A code with a repeated word is in no class, which a set test tells
+    without the kernel.  The kernel runs once per orbit of the other codes
+    under two moves, each of which keeps every class: reordering the words
+    of equal length, since each class depends only on the set of words, and
+    the letter reversal a -> n-1-a, since a renaming of the letters maps
+    each factorization to a factorization letter for letter.  The first
+    code of an orbit in the walk is classified and its class id stored at
+    every code of the orbit; the later ones read it back.  A code's index in the
     walk is the base-n value of its letters, so the reversal maps index k to
     total-1-k.  The two moves make up every renaming only at n = 2; at
     n >= 3 an orbit of renamings splits into several, each classified once.
@@ -104,24 +103,26 @@ def write_classification_csv(
     total = universe_size(lengths, n)
     ids = array.array("H", [0]) * total
     out.write("code,injective,prefix,ud,finite_delay,delay\n")
+    # a class is four flags and a delay of O((sum of lengths)^2) letters, so
+    # ids stay far below 2^16 on any universe that fits in memory
     id_of: dict[tuple, int] = {}
-    tails = [""]
+    tails = ["", _csv_tail(_IN_NO_CLASS)]  # id 1: a repeated word
     chunk: list[str] = []
     for k, words in enumerate(itertools.product(*pools)):
         class_id = ids[k]
         if not class_id:
-            classes = _classification(words, width)
-            class_id = id_of.get(classes)
-            if class_id is None:
-                # a class is four flags and a delay of O((sum of lengths)^2)
-                # letters, so ids stay far below 2^16 on any universe that
-                # fits in memory
-                class_id = id_of[classes] = len(tails)
-                *flags, delay = classes
-                fields = [*map(_csv_bool, flags), "" if delay is None else str(delay)]
-                tails.append("," + ",".join(fields) + "\n")
-            for image in _reorderings(k, groups):
-                ids[image] = ids[total - 1 - image] = class_id
+            if len(set(words)) != len(words):
+                # as has every code of its orbit: the set test tells that
+                # sooner than a spread of the id would
+                class_id = 1
+            else:
+                classes = _classification(words, width)
+                class_id = id_of.get(classes)
+                if class_id is None:
+                    class_id = id_of[classes] = len(tails)
+                    tails.append(_csv_tail(classes))
+                for image in _reorderings(k, groups):
+                    ids[image] = ids[total - 1 - image] = class_id
         chunk.append(";".join(map(texts.__getitem__, words)) + tails[class_id])
         if len(chunk) == _CSV_CHUNK:
             out.write("".join(chunk))
@@ -166,8 +167,11 @@ def _orders(values: list[int], weights: list[int]) -> Iterator[int]:
         order[i + 1 :] = reversed(order[i + 1 :])
 
 
-def _csv_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+def _csv_tail(classes: tuple[bool, bool, bool, bool, Optional[int]]) -> str:
+    """The fields of a row after the code's text, with the line's end."""
+    *flags, delay = classes
+    fields = ["true" if flag else "false" for flag in flags]
+    return "," + ",".join([*fields, "" if delay is None else str(delay)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +194,12 @@ def safe_bound(code: Code) -> int:
     return (len(suffixes) + 1) * longest
 
 
+def _check_bound(name: str, bound: int, least: int) -> None:
+    """Refuse an oracle's bound unless it is an int (not a bool) >= least."""
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < least:
+        raise CodesError(f"{name} bound must be an integer >= {least}, got {bound!r}")
+
+
 _Search = tuple[Word, tuple[int, ...], tuple[int, ...]]
 _RawSearch = tuple[RawWord, tuple[int, ...], tuple[int, ...]]
 
@@ -201,8 +211,7 @@ def two_factorization_search(code: Code, length_bound: int) -> Optional[_Search]
     lexicographically.  With length_bound >= safe_bound(code), None is a
     proof of unique decodability.  The search runs on symbol tuples, which
     order as their Words do; only the word returned is made a Word."""
-    if length_bound < 1:
-        raise CodesError(f"length bound must be >= 1, got {length_bound}")
+    _check_bound("length", length_bound, 1)
     words = [word.symbols for word in code.words]
     best: Optional[_RawSearch] = None
     for i, j in itertools.combinations(range(len(words)), 2):
@@ -294,15 +303,17 @@ class ProbeStateCapExceeded(CodesError):
         self.cap = cap
 
 
-# A probe state is a set of (position, tag mask) pairs: the factorizations
-# whose first word is one of the bits of `tag mask` can stand at `position`
-# in the consumed stream.  Positions are small ints numbered by _probe_moves.
-_ProbeState = frozenset[tuple[int, int]]
+# A probe state is keyed by a flat tuple (p0, m0, p1, m1, ...) in increasing
+# position: the factorizations whose first word is one of the bits of mask m
+# can stand at position p in the consumed stream.  Positions are small ints
+# numbered by _probe_moves.
+_ProbeKey = tuple[int, ...]
 
 
 def _probe_moves(raw: list[tuple[int, ...]]) -> tuple[list[list[tuple[int, int]]], list[int]]:
     """The probe's moves, moves[position] -> [(letter, next position)], and
-    the position of each first word before its first letter.
+    the position of each first word before its first letter, from one walk
+    over each word.
 
     Position 0 is a boundary, the root of the trie of proper prefixes of the
     code words; the other trie nodes are the letters read since the last
@@ -312,25 +323,32 @@ def _probe_moves(raw: list[tuple[int, ...]]) -> tuple[list[list[tuple[int, int]]
     a number, so the states correspond one to one with sets of (first word,
     word, offset) entries and the state graph does not depend on the
     encoding."""
-    nodes = {(): 0}
+    child: dict[tuple[int, int], int] = {}  # (node, letter) -> trie node
+    moves: list[list[tuple[int, int]]] = [[]]
+    through = [len(raw)]  # per trie node, the words it is a proper prefix of
+    paths = []
     for word in raw:
-        for k in range(1, len(word)):
-            nodes.setdefault(word[:k], len(nodes))
-    edges: list[set[tuple[int, int]]] = [set() for _ in nodes]
-    for word in raw:
-        for k in range(len(word)):
-            edges[nodes[word[:k]]].add((word[k], nodes[word[: k + 1]] if k + 1 < len(word) else 0))
-    moves = [sorted(out) for out in edges]
-    sharing = collections.Counter(word[:k] for word in raw for k in range(len(word)))
+        path = [0]
+        for letter in word[:-1]:
+            node = child.get((path[-1], letter))
+            if node is None:
+                node = child[path[-1], letter] = len(moves)
+                moves[path[-1]].append((letter, node))
+                moves.append([])
+                through.append(0)
+            through[node] += 1
+            path.append(node)
+        moves[path[-1]].append((word[-1], 0))
+        paths.append(path)
     starts = []
-    for word in raw:
+    for word, path in zip(raw, paths):
         # inside this first word, from its end back to its start
         position = 0
-        for k in reversed(range(len(word))):
-            if sharing[word[:k]] == 1:
-                position = nodes[word[:k]]
+        for letter, node in zip(reversed(word), reversed(path)):
+            if through[node] == 1:
+                position = node
             else:
-                moves.append([(word[k], position)])
+                moves.append([(letter, position)])
                 position = len(moves) - 1
         starts.append(position)
     return moves, starts
@@ -356,63 +374,122 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
     A state's first-word pair is its two lowest-indexed first words; the
     finite witness is the least pair, in word order, of a deepest ambiguous
     state, and the infinite witness the least pair of an ambiguous state on
-    a cycle.  Raises ProbeStateCapExceeded when the automaton has more than
-    _PROBE_STATE_CAP ambiguous states.
+    a cycle.
+
+    One depth-first walk builds the states and finds the strongly connected
+    components of their graph as it goes (Tarjan's algorithm, on an explicit
+    stack).  A state is keyed by a flat tuple of its entries, the masks of
+    equal value are one object, and a state's id is the order in which the
+    walk reached it, which is also its depth-first index.  The components
+    come out each after every one it reaches: a cyclic one gives the
+    infinite verdict, and when there is none, the reverse of that order
+    gives each state's depth.  ProbeStateCapExceeded is raised as the
+    (_PROBE_STATE_CAP + 1)-th ambiguous state is built, the start included,
+    so its `.states` is the cap plus one.  t_max must be an int >= 0.
     """
+    _check_bound("delay", t_max, 0)
     words = code.words
     if len(set(words)) != len(words):
         raise CodesError("delay probe needs pairwise distinct words")
     if len(words) < 2:
         return ProbeResult("finite", 0, None)
     moves, starts = _probe_moves([word.symbols for word in words])
+    cap = _PROBE_STATE_CAP
+    shared: dict[int, int] = {}  # one object per mask value, kept by every key
 
-    start: _ProbeState = frozenset((position, 1 << i) for i, position in enumerate(starts))
-    states = [start]
-    tags = [(1 << len(words)) - 1]
-    ids = {start: 0}
-    sub: dict[int, list[int]] = {}
-    for s, state in enumerate(states):
-        if len(states) > _PROBE_STATE_CAP:
-            raise ProbeStateCapExceeded(len(states), _PROBE_STATE_CAP)
+    def successors(key: _ProbeKey) -> list[_ProbeKey]:
+        """The keys of the ambiguous successors of a state."""
         by_letter: dict[int, dict[int, int]] = {}
-        for position, mask in state:
+        entries = iter(key)
+        for position, mask in zip(entries, entries):
             for letter, nxt in moves[position]:
                 moved = by_letter.get(letter)
                 if moved is None:
                     moved = by_letter[letter] = {}
                 moved[nxt] = moved.get(nxt, 0) | mask
-        targets = []
+        found = []
         for moved in by_letter.values():
             tag = 0
             for mask in moved.values():
                 tag |= mask
-            if not tag & (tag - 1):
+            if tag & (tag - 1):
+                flat: list[int] = []
+                for position in sorted(moved):
+                    mask = moved[position]
+                    flat += position, shared.setdefault(mask, mask)
+                found.append(tuple(flat))
+        return found
+
+    keys: list[_ProbeKey] = []  # by id
+    ids: dict[_ProbeKey, int] = {}
+    low: list[int] = []
+    on_stack = bytearray()
+    sub: list[tuple[int, ...]] = []  # each state's ambiguous successors, once it finishes
+    stack: list[int] = []
+    finished: list[int] = []  # components' roots, each after every one it reaches
+    cyclic: list[int] = []
+    # (state, its successors' keys still to walk, their ids so far, its place on `stack`)
+    work: list[tuple[int, Iterator[_ProbeKey], list[int], int]] = []
+
+    def build(key: _ProbeKey) -> int:
+        s = len(keys)
+        if s >= cap:
+            raise ProbeStateCapExceeded(s + 1, cap)
+        ids[key] = s
+        keys.append(key)
+        low.append(s)
+        on_stack.append(1)
+        sub.append(())
+        work.append((s, iter(successors(key)), [], len(stack)))
+        stack.append(s)
+        return s
+
+    start = sorted((position, 1 << i) for i, position in enumerate(starts))
+    build(tuple(itertools.chain.from_iterable(start)))
+    while work:
+        s, pending, targets, height = work[-1]
+        for key in pending:
+            t = ids.get(key)
+            if t is None:
+                targets.append(build(key))
+                break
+            targets.append(t)
+            if on_stack[t] and t < low[s]:
+                low[s] = t
+        else:
+            work.pop()
+            sub[s] = tuple(targets)
+            if low[s] < s:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[s])
                 continue
-            nxt_state = frozenset(moved.items())
-            target = ids.get(nxt_state)
-            if target is None:
-                target = ids[nxt_state] = len(states)
-                states.append(nxt_state)
-                tags.append(tag)
-            targets.append(target)
-        sub[s] = targets
+            component = stack[height:]
+            del stack[height:]
+            for t in component:
+                on_stack[t] = 0
+            if len(component) > 1 or s in sub[s]:
+                cyclic += component
+            finished.append(s)
 
     def first_pair(s: int) -> tuple[Word, Word]:
-        mask = tags[s]
-        first = mask & -mask
-        second = mask ^ first
+        tag = 0
+        for mask in keys[s][1::2]:
+            tag |= mask
+        first = tag & -tag
+        second = tag ^ first
         second &= -second
         return words[first.bit_length() - 1], words[second.bit_length() - 1]
 
-    order, cyclic = order_and_cycles(sub)
-    if order is None:
+    if cyclic:
         return ProbeResult("infinite", None, min(map(first_pair, cyclic)))
 
-    # every state is reached from the start, which comes first in `order`
-    depth = [0] * len(states)
-    for s in order:
-        for nxt in sub[s]:
-            depth[nxt] = max(depth[nxt], depth[s] + 1)
+    # every component is one state, and the start comes first in this order
+    depth = [0] * len(keys)
+    for s in reversed(finished):
+        d = depth[s] + 1
+        for t in sub[s]:
+            if depth[t] < d:
+                depth[t] = d
     delay = max(depth) + 1
     if delay > t_max:
         return ProbeResult("unknown", None, None)

@@ -349,6 +349,27 @@ def test_search_requires_positive_bound():
         two_factorization_search(code("0", "1"), 0)
 
 
+@pytest.mark.parametrize(
+    "oracle,bound",
+    [
+        (bounded_delay_probe, -1),
+        (bounded_delay_probe, 2.5),
+        (bounded_delay_probe, True),
+        (two_factorization_search, 2.5),
+        (two_factorization_search, True),
+    ],
+    ids=["probe-negative", "probe-float", "probe-bool", "search-float", "search-bool"],
+)
+def test_oracles_refuse_a_bound_that_is_not_a_count(oracle, bound):
+    with pytest.raises(CodesError, match="bound must be an integer"):
+        oracle(code("0", "10", "11"), bound)
+
+
+def test_probe_accepts_a_zero_bound():
+    assert bounded_delay_probe(code("10"), 0) == ProbeResult("finite", 0, None)
+    assert bounded_delay_probe(code("0", "10", "11"), 0) == ProbeResult("unknown", None, None)
+
+
 def test_probe_finite_cases():
     result = bounded_delay_probe(code("0", "10", "11"), 10)
     assert result.verdict == "finite"
@@ -358,6 +379,11 @@ def test_probe_finite_cases():
     assert bounded_delay_probe(code("10"), 10).delay == 0
     assert bounded_delay_probe(code("01", "001", "000"), 10).delay == 3
     assert bounded_delay_probe(code("11", "1101", "010"), 10).delay == 7
+    # acyclic state graphs in which the walk meets an already finished state
+    # again from a later branch: that edge must not join their components
+    assert bounded_delay_probe(code("011", "011101", "10", "1100"), 20).delay == 13
+    ternary = Code.from_texts(["0", "02", "021112", "022120", "10102", "20010", "210"], 3)
+    assert bounded_delay_probe(ternary, 20).delay == 9
 
     # two states share the greatest depth; the least pair of first words wins
     result = bounded_delay_probe(Code.from_texts(["1", "0", "02", "12"], 3), 10)
@@ -394,7 +420,8 @@ def test_probe_state_cap(monkeypatch):
     assert isinstance(info.value, CodesError)
     assert str(info.value) == "delay probe state space exceeded the safety cap"
     assert info.value.cap == 1
-    assert info.value.states > 1
+    # refused as the second ambiguous state is built, the start being the first
+    assert info.value.states == 2
 
 
 def _reference_probe(c, t_max):
@@ -481,8 +508,11 @@ def test_probe_matches_per_word_reference(profile, n, count_states):
 
 @pytest.mark.parametrize("texts", [("10", "100", "000"), ("01", "001", "000"), ("0", "01", "10")])
 def test_probe_makes_one_graph_pass(monkeypatch, texts):
-    """The order (finite) and the cycle set (infinite) come off one pass of
-    the strongly connected components."""
+    """The order (finite) and the cycle set (infinite) come off the one walk
+    that builds the states: the probe makes no call into the decider's
+    graph helpers."""
+    c = Code.from_texts(list(texts), 2)
+    expected = _reference_probe(c, safe_bound(c))[0]
     graph = importlib.import_module("udcodes._graph")
     calls = []
     components = graph._components
@@ -492,9 +522,8 @@ def test_probe_makes_one_graph_pass(monkeypatch, texts):
         return components(adjacency)
 
     monkeypatch.setattr(graph, "_components", counted)
-    c = Code.from_texts(list(texts), 2)
-    bounded_delay_probe(c, safe_bound(c))
-    assert len(calls) == 1
+    assert bounded_delay_probe(c, safe_bound(c)) == expected
+    assert calls == []
 
 
 @pytest.mark.parametrize("texts", [("11", "1101", "010"), ("10", "100", "000")])
@@ -518,19 +547,35 @@ def test_probe_witness_rules():
     assert tuple(w.text() for w in result.witness) == ("10", "100")
 
 
-def test_probe_memory_on_a_reversed_canonical_code():
-    """The reversed canonical code 4^12 5^8: about 1.2 MB of traced peak
-    memory building only the ambiguous states, 2.9 MB building every state,
-    23.9 MB with one entry per word per surviving first word."""
-    c = canonical_prefix_code((4,) * 12 + (5,) * 8, 2).reverse()
+def _probe_peak(c):
+    """The probe's result and its traced peak memory in bytes."""
     tracemalloc.start()
     try:
         result = bounded_delay_probe(c, safe_bound(c))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_probe_memory_on_a_reversed_canonical_code():
+    """The reversed canonical code 4^12 5^8: about 0.3 MB of traced peak
+    memory with flat state keys and one walk, 1.2 MB with a frozenset per
+    state and a separate graph pass, 2.9 MB building every state, 23.9 MB
+    with one entry per word per surviving first word."""
+    result, peak = _probe_peak(canonical_prefix_code((4,) * 12 + (5,) * 8, 2).reverse())
     assert result.verdict == "infinite"
-    assert peak < 2 * 10**6
+    assert peak < 5 * 10**5
+
+
+def test_probe_memory_on_the_bench_code():
+    """The 56-word reversed canonical code 6^28 8^28 of the benchmark's probe
+    worker, 4,987 ambiguous states: about 1.2 MB of traced peak memory, and
+    3.9 MB with a frozenset of (position, mask) pairs per state and a
+    separate graph pass."""
+    result, peak = _probe_peak(canonical_prefix_code((6,) * 28 + (8,) * 28, 2).reverse())
+    assert result.verdict == "infinite"
+    assert peak < 1.5 * 10**6
 
 
 def test_ud_count_is_reversal_invariant():
@@ -619,23 +664,24 @@ def test_classification_csv_rows_span_several_chunks():
 @pytest.mark.parametrize(
     "profile,n,calls",
     [
-        ((3, 3, 4, 5), 2, 9216),
-        ((2, 2, 3, 3, 4), 2, 2880),
-        ((2, 3, 3), 3, 1708),
-        ((1, 1, 2), 10, 2750),
-        ((1, 1, 1, 2), 3, 46),
-        ((2, 2, 2, 3), 2, 80),
-        ((1, 1, 1, 1), 4, 19),
+        ((3, 3, 4, 5), 2, 7168),
+        ((2, 2, 3, 3, 4), 2, 1344),
+        ((2, 3, 3), 3, 1586),
+        ((1, 1, 2), 10, 2250),
+        ((1, 1, 1, 2), 3, 5),
+        ((2, 2, 2, 3), 2, 16),
+        ((1, 1, 1, 1), 4, 1),
     ],
     ids=["3345-2", "22334-2", "233-3", "112-10", "1112-3", "2223-2", "1111-4"],
 )
 def test_classification_csv_kernel_calls(monkeypatch, profile, n, calls):
-    """One kernel call per orbit of word reordering and letter reversal, in
-    every order of the lengths; without the fold there was one per code
-    (32,768, 16,384, 6,561 and 10,000 calls on the first four).  Each count
-    equals the number of orbits found by a brute force that keys every code
-    by the least of it and its reversal with each group of equal-length
-    words sorted."""
+    """One kernel call per orbit of word reordering and letter reversal
+    among the codes without a repeated word, in every order of the lengths;
+    without the fold there was one per code (32,768, 16,384, 6,561 and
+    10,000 calls on the first four).  Each count equals the number of
+    orbits found by a brute force that keys every such code by the least of
+    it and its reversal with each group of equal-length words sorted."""
+    assert _injective_orbits(profile, n) == calls
     kernel = enumeration._classification
 
     for lengths in _length_orders(profile):
@@ -648,6 +694,23 @@ def test_classification_csv_kernel_calls(monkeypatch, profile, n, calls):
         monkeypatch.setattr(enumeration, "_classification", counted)
         write_classification_csv(lengths, n, io.StringIO())
         assert len(seen) == calls, lengths
+
+
+def _injective_orbits(profile, n):
+    """The number of orbits of the codes without a repeated word under
+    reordering equal-length words and the letter reversal a -> n-1-a."""
+    lengths = sorted(set(profile))
+
+    def sorted_groups(words):
+        return tuple(tuple(sorted(w for w in words if len(w) == v)) for v in lengths)
+
+    keys = set()
+    for c in enumerate_codes(profile, n):
+        words = [w.symbols for w in c.words]
+        if len(set(words)) == len(words):
+            reversed_words = [tuple(n - 1 - a for a in w) for w in words]
+            keys.add(min(sorted_groups(words), sorted_groups(reversed_words)))
+    return len(keys)
 
 
 def test_classification_csv_refuses_before_writing():

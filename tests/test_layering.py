@@ -47,6 +47,12 @@ def test_imports_only_lower_layers(name):
     assert package_imports(parse(name)) <= below
 
 
+def test_oracles_share_no_graph_code_with_the_decider():
+    """The brute-force oracles in enumeration find their own cycles, so a
+    fault in the decider's graph helpers cannot hide from the cross-check."""
+    assert "_graph" not in package_imports(parse("enumeration"))
+
+
 @pytest.mark.parametrize("name", ("__init__",) + LAYERS)
 def test_no_import_inside_a_function(name):
     nested = [
