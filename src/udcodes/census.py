@@ -9,7 +9,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -125,8 +124,7 @@ def _raw_pool(length: int, n: int) -> tuple[RawWord, ...]:
     return tuple(itertools.product(range(n), repeat=length))
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Counts of the prefix / finite-delay / uniquely decodable codes with a
     given length profile.  A count is None when the requested source cannot
     produce it (formula mode with no applicable closed form).  discrepancies
@@ -281,8 +279,7 @@ def census(
     return CensusReport(p, n, total, e_pr, e_fd, e_ud, mode, discrepancies)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Lower bound on the ratio |UD| / |PR| obtained from two length values
     a and b: 1 + r_a * r_b / count_pr_pair(a, b, n).
 

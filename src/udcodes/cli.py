@@ -11,13 +11,11 @@ Exit status: 0 ok, 1 verification discrepancy, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import decimal
 import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import IO, Any, Optional
 
 from .census import (
@@ -184,7 +182,8 @@ def _delay_payload(report: DelayReport) -> dict:
 def _read_ascii(path: str) -> str:
     """The text of an input file; a CodeFileError names the line and column
     of its first byte that is not ASCII."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -286,7 +285,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
         }
     results["code_file"] = code_to_text(code)
     results["words"] = [w.text() for w in code.words]
-    results["classification"] = dataclasses.asdict(classify(code))
+    results["classification"] = classify(code)._asdict()
     return results, 0
 
 

@@ -10,8 +10,7 @@ decodability and the delay off one exploration of that graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ._graph import cyclic_nodes
 from .words import Code, CodesError, Word
@@ -41,8 +40,7 @@ def is_prefix_code(code: Code) -> bool:
 # Sardinas-Patterson
 
 
-@dataclass(frozen=True)
-class SPTrace:
+class SPTrace(NamedTuple):
     """Full run of the Sardinas-Patterson test.
 
     ``rounds[0]`` is the set of code words; ``rounds[i]`` for i >= 1 holds the
@@ -163,8 +161,7 @@ def factorize(code: Code, u: Word) -> Optional[tuple[int, ...]]:
 # Ambiguity graph and deciphering delay
 
 
-@dataclass(frozen=True, order=True)
-class AmbState:
+class AmbState(NamedTuple):
     """A dangling suffix plus which side of the two factorizations is ahead.
 
     ``leader`` is 1 while the side that played the longer initial word is
@@ -175,8 +172,7 @@ class AmbState:
     leader: int
 
 
-@dataclass(frozen=True)
-class AmbiguityGraph:
+class AmbiguityGraph(NamedTuple):
     """Reachable dangling-suffix configurations of two competing parses."""
 
     states: tuple[AmbState, ...]
@@ -189,8 +185,7 @@ class AmbiguityGraph:
         return not self.states
 
 
-@dataclass(frozen=True)
-class InfiniteWitness:
+class InfiniteWitness(NamedTuple):
     """Eventually periodic word preamble.period^inf with two factorizations
     whose first code words differ.  Preamble and period are normalized: the
     period is primitive and the preamble is as short as possible."""
@@ -203,8 +198,7 @@ class InfiniteWitness:
         return f"{self.preamble.text()}({self.period.text()})^inf"
 
 
-@dataclass(frozen=True)
-class DelayReport:
+class DelayReport(NamedTuple):
     finite: bool
     delay: Optional[int]
     witness: Optional[InfiniteWitness]
@@ -502,8 +496,7 @@ def delay_analysis(code: Code) -> DelayReport:
 # Classification
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     injective: bool
     prefix: bool
     ud: bool

@@ -10,8 +10,7 @@ import array
 import heapq
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import IO, Iterator, Optional
+from typing import IO, Iterator, NamedTuple, Optional
 
 # census, classify and universe_size are re-exported: callers reach them here.
 from .census import (
@@ -282,8 +281,7 @@ def _search_key(found: _RawSearch):
     return (len(word), word, first, second)
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     verdict: str  # finite | infinite | unknown
     delay: Optional[int]
     witness: Optional[tuple[Word, Word]]

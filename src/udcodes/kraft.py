@@ -17,10 +17,9 @@ touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .words import (
     Alphabet,
@@ -76,8 +75,7 @@ def is_feasible(profile: ProfileLike, n: int) -> bool:
     return kraft_sum(profile, n) <= 1
 
 
-@dataclass(frozen=True)
-class KraftTrace:
+class KraftTrace(NamedTuple):
     """Available-word counts per length stage and the exact prefix-code count.
 
     ``available[i]`` is the number of words of the i-th length value not
@@ -238,8 +236,7 @@ def canonical_prefix_code(lengths: ProfileLike, n: int) -> Code:
 # Anchored constructions
 
 
-@dataclass(frozen=True)
-class AnchoredFamily:
+class AnchoredFamily(NamedTuple):
     """The family of prefix codes with a given profile that contain both
     anchor words 0^(a-1)1 and 0^(b-1)1, together with its exact size.
 
@@ -344,8 +341,15 @@ def ud_nonprefix_witness(lengths: ProfileLike, n: int) -> Code:
     return anchored_prefix_code(raw, n, a, b).reverse()
 
 
-@dataclass(frozen=True)
-class InfiniteDelayWitnessSpec:
+class _WitnessCase(NamedTuple):
+    case: str
+    a: int
+    b: int
+    remainder: Optional[int]  # (b - a) mod a, two-values case only
+    quotient: Optional[int]   # (b - a - remainder) // a
+
+
+class InfiniteDelayWitnessSpec(_WitnessCase):
     """Which construction produced an infinite-delay witness.
 
     cases: "rb-many" (the second length value repeats, so the all-zero word
@@ -355,20 +359,22 @@ class InfiniteDelayWitnessSpec:
     built directly from runs of ones and zeros).
     """
 
-    case: str
-    a: int
-    b: int
-    remainder: Optional[int]  # (b - a) mod a, two-values case only
-    quotient: Optional[int]   # (b - a - remainder) // a
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.case not in ("rb-many", "three-values", "two-values"):
-            raise CodesError(f"unknown witness case {self.case!r}")
-        if self.case == "two-values":
-            if self.remainder is None or not 0 < self.remainder < self.a:
+    def __new__(cls, case: str, a: int, b: int, remainder: Optional[int], quotient: Optional[int]):
+        if case not in ("rb-many", "three-values", "two-values"):
+            raise CodesError(f"unknown witness case {case!r}")
+        if case == "two-values":
+            if remainder is None or not 0 < remainder < a:
                 raise CodesError("two-values witness needs 0 < remainder < a")
-        elif self.remainder is not None or self.quotient is not None:
+        elif remainder is not None or quotient is not None:
             raise CodesError("remainder/quotient only apply to the two-values case")
+        return super().__new__(cls, case, a, b, remainder, quotient)
+
+    @classmethod
+    def _make(cls, iterable) -> "InfiniteDelayWitnessSpec":
+        # _replace builds through _make, so a replaced field is checked too
+        return cls(*iterable)
 
 
 def fd_matches_ud_condition(profile: ProfileLike) -> bool:

@@ -11,8 +11,8 @@ with the same words in a different order are different codes.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -41,19 +41,52 @@ class CodeFileError(CodesError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Frozen:
+    """Base of the immutable value types.  Equality, hash and repr run over
+    the fields named in ``__slots__``: an instance equals only an instance of
+    the same class with equal fields, and hashes as the tuple of its fields.
+    Assignment is refused; pickling and copying rebuild through __init__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Alphabet(_Frozen):
     """An abstract alphabet whose letters are the indices 0..size-1."""
 
-    size: int
+    __slots__ = ("size",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 2:
-            raise CodesError(f"alphabet size must be an integer >= 2, got {self.size!r}")
+    def __init__(self, size: int) -> None:
+        if not isinstance(size, int) or isinstance(size, bool) or size < 2:
+            raise CodesError(f"alphabet size must be an integer >= 2, got {size!r}")
+        object.__setattr__(self, "size", size)
 
 
-@dataclass(frozen=True, order=True)
-class Word:
+@functools.total_ordering
+class Word(_Frozen):
     """An immutable word: a tuple of letter indices.
 
     Words compare lexicographically by symbol index (with a proper prefix
@@ -61,14 +94,24 @@ class Word:
     every deterministic construction in this package.
     """
 
-    symbols: tuple[int, ...] = ()
+    __slots__ = ("symbols",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.symbols, tuple):
-            object.__setattr__(self, "symbols", tuple(self.symbols))
-        for s in self.symbols:
+    def __init__(self, symbols: Sequence[int] = ()) -> None:
+        symbols = tuple(symbols)
+        for s in symbols:
             if not isinstance(s, int) or isinstance(s, bool) or s < 0:
                 raise CodesError(f"word symbols must be non-negative integers, got {s!r}")
+        object.__setattr__(self, "symbols", symbols)
+
+    def _fields(self) -> tuple:
+        # words are hashed and compared in bulk (the SP rounds are sets of
+        # them), so their one field is read directly
+        return (self.symbols,)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.symbols < other.symbols
+        return NotImplemented
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -103,29 +146,30 @@ class Word:
         return f"Word({self.symbols!r})"
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(_Frozen):
     """An ordered sequence of non-empty words over a common alphabet."""
 
-    alphabet: Alphabet
-    words: tuple[Word, ...]
+    __slots__ = ("alphabet", "words")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.words, tuple):
-            object.__setattr__(self, "words", tuple(self.words))
-        if len(self.words) == 0:
+    def __init__(self, alphabet: Alphabet, words: Sequence[Word]) -> None:
+        if not isinstance(alphabet, Alphabet):
+            raise CodesError(f"code alphabet is not an Alphabet: {alphabet!r}")
+        words = tuple(words)
+        if len(words) == 0:
             raise CodesError("a code needs at least one word")
-        for pos, w in enumerate(self.words):
+        for pos, w in enumerate(words):
             if not isinstance(w, Word):
                 raise CodesError(f"code word at position {pos} is not a Word: {w!r}")
             if len(w) == 0:
                 raise CodesError(f"code word at position {pos} is empty")
             for s in w.symbols:
-                if s >= self.alphabet.size:
+                if s >= alphabet.size:
                     raise CodesError(
                         f"code word at position {pos} uses letter {s}, "
-                        f"but the alphabet has size {self.alphabet.size}"
+                        f"but the alphabet has size {alphabet.size}"
                     )
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "words", words)
 
     @classmethod
     def from_texts(cls, texts: Sequence[str], n: int) -> "Code":
@@ -152,30 +196,28 @@ class Code:
         return tuple(w.text() for w in self.words)
 
 
-@dataclass(frozen=True)
-class LengthProfile:
+class LengthProfile(_Frozen):
     """The distinct word lengths of a code, increasing, with multiplicities."""
 
-    values: tuple[int, ...]
-    multiplicities: tuple[int, ...]
+    __slots__ = ("values", "multiplicities")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
-        if not isinstance(self.multiplicities, tuple):
-            object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
-        if not self.values:
+    def __init__(self, values: Sequence[int], multiplicities: Sequence[int]) -> None:
+        values = tuple(values)
+        multiplicities = tuple(multiplicities)
+        if not values:
             raise CodesError("a length profile needs at least one value")
-        if len(self.values) != len(self.multiplicities):
+        if len(values) != len(multiplicities):
             raise CodesError("values and multiplicities differ in length")
-        for v in self.values:
+        for v in values:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise CodesError(f"length values must be positive integers, got {v!r}")
-        for r in self.multiplicities:
+        for r in multiplicities:
             if not isinstance(r, int) or isinstance(r, bool) or r < 1:
                 raise CodesError(f"multiplicities must be positive integers, got {r!r}")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
-            raise CodesError(f"length values must be strictly increasing, got {self.values}")
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise CodesError(f"length values must be strictly increasing, got {values}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "multiplicities", multiplicities)
 
     @classmethod
     def from_lengths(cls, lengths: Sequence[int]) -> "LengthProfile":

@@ -1,5 +1,5 @@
 import contextlib
-import dataclasses
+import errno
 import importlib
 import io
 import json
@@ -164,6 +164,29 @@ def test_check_missing_file():
     assert payload["status"] == "error"
 
 
+@pytest.mark.parametrize("command", (("check",), ("verify", "--suite")))
+@pytest.mark.parametrize("kind", ("missing", "directory"))
+def test_unreadable_input_file_error_text(tmp_path, command, kind):
+    """The OSError text of an input file that cannot be read names the path
+    as given, as it did when the file was read through pathlib."""
+    if kind == "missing":
+        path, number = str(tmp_path / "absent.txt"), errno.ENOENT
+    else:
+        path, number = str(tmp_path), errno.EISDIR
+    rc, payload = run_json(*command, path)
+    assert rc == 2
+    assert payload["status"] == "error"
+    assert payload["error"] == {"message": f"[Errno {number}] {os.strerror(number)}: {path!r}"}
+
+
+def test_empty_input_path_is_reported_as_missing():
+    # pathlib read the path '' as '.', and so reported a directory
+    rc, payload = run_json("check", "")
+    assert rc == 2
+    missing = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"
+    assert payload["error"] == {"message": missing}
+
+
 def test_count_with_anchored_bound():
     rc, payload = run_json(
         "count", "--lengths", "2,3,3", "--alphabet", "2", "--anchored", "2,3"
@@ -302,7 +325,7 @@ def test_verify_oracles_catch_a_wrong_delay(monkeypatch):
 
     def off_by_one(code):
         c = real(code)
-        return dataclasses.replace(c, delay=None if c.delay is None else c.delay + 1)
+        return c._replace(delay=None if c.delay is None else c.delay + 1)
 
     monkeypatch.setattr(cli, "classify", off_by_one)
     rc, payload = run_json("verify", "--alphabet-max", "2")

@@ -171,8 +171,8 @@ def test_census_builds_no_code(monkeypatch):
     for name in ("enumerate_codes", "classify"):
         monkeypatch.setattr(enumeration, name, forbidden)
     monkeypatch.setattr(decide, "classify", forbidden)
-    monkeypatch.setattr(Code, "__post_init__", forbidden)
-    monkeypatch.setattr(Word, "__post_init__", forbidden)
+    monkeypatch.setattr(Code, "__init__", forbidden)
+    monkeypatch.setattr(Word, "__init__", forbidden)
     monkeypatch.setattr(decide, "_finite_delay", forbidden)
     calls = []
     kernel = decide._classes

@@ -2,6 +2,9 @@
 package modules below it in LAYERS.  `__init__` sits above all of them."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,23 @@ def test_no_import_inside_a_function(name):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert nested == []
+
+
+def modules_at_start_up(*flags):
+    """The modules a fresh interpreter holds once `import udcodes.cli` returns."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    script = "import sys, udcodes.cli; print(' '.join(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return set(done.stdout.split())
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    """Every CLI command and probe worker pays for what `import udcodes.cli`
+    loads; dataclasses (which loads inspect) cost about a quarter of it."""
+    assert {"dataclasses", "inspect"}.isdisjoint(modules_at_start_up())
+
+
+def test_start_up_without_site_loads_no_pathlib():
+    assert "pathlib" not in modules_at_start_up("-S")

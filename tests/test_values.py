@@ -1,0 +1,269 @@
+"""Value semantics of the package's word types and result records: repr,
+hash, equality, ordering, refused assignment, pickling and copying, and the
+messages of refused constructions.
+
+The word types (Alphabet, Word, Code, LengthProfile) are plain immutable
+classes; the result records are NamedTuples.  Every type hashes as the tuple
+of its fields, so set iteration order and every output are fixed by the
+field values alone."""
+
+import copy
+import pickle
+
+import pytest
+
+from udcodes import (
+    Alphabet,
+    Code,
+    CodesError,
+    InfiniteDelayWitnessSpec,
+    LengthProfile,
+    Word,
+    ambiguity_graph,
+    bounded_delay_probe,
+    census,
+    classify,
+    count_anchored_prefix_codes,
+    count_prefix_codes,
+    delay_analysis,
+    infinite_delay_witness,
+    sardinas_patterson,
+    theorem1_bound,
+)
+from udcodes.decide import AmbState
+
+CODE = Code.from_texts(["0", "01", "11"], 2)
+PROFILE_122 = "LengthProfile(values=(1, 2), multiplicities=(1, 2))"
+PROFILE_233 = "LengthProfile(values=(2, 3), multiplicities=(1, 2))"
+
+# name -> (build one instance, its field names, its repr)
+CASES = {
+    "Alphabet": (lambda: Alphabet(2), ("size",), "Alphabet(size=2)"),
+    "Word": (lambda: Word((0, 1)), ("symbols",), "Word('01')"),
+    "Word-no-glyph": (lambda: Word((40, 1)), ("symbols",), "Word((40, 1))"),
+    "Code": (
+        lambda: CODE,
+        ("alphabet", "words"),
+        "Code(alphabet=Alphabet(size=2), words=(Word('0'), Word('01'), Word('11')))",
+    ),
+    "LengthProfile": (
+        lambda: LengthProfile((1, 2), (1, 2)),
+        ("values", "multiplicities"),
+        PROFILE_122,
+    ),
+    "CensusReport": (
+        lambda: census((1, 2, 2), 2),
+        ("profile", "n", "total", "pr", "fd", "ud", "source", "discrepancies"),
+        f"CensusReport(profile={PROFILE_122}, n=2, total=32, pr=4, fd=4, ud=8, "
+        "source='both', discrepancies=())",
+    ),
+    "BoundReport": (
+        lambda: theorem1_bound((2, 3, 3), 2, 2, 3),
+        ("profile", "n", "a", "b", "lower_bound", "pr_count", "ud_count", "ratio", "satisfied"),
+        f"BoundReport(profile={PROFILE_233}, n=2, a=2, b=3, lower_bound=Fraction(13, 12), "
+        "pr_count=120, ud_count=180, ratio=Fraction(3, 2), satisfied=True)",
+    ),
+    "SPTrace": (
+        lambda: sardinas_patterson(CODE),
+        ("rounds", "unique", "violation", "termination", "repeated_index", "collision"),
+        "SPTrace(rounds=(frozenset({Word('01'), Word('11'), Word('0')}), "
+        "frozenset({Word('1')}), frozenset({Word('1')})), unique=True, violation=None, "
+        "termination='cycle', repeated_index=1, collision=None)",
+    ),
+    "AmbState": (
+        lambda: AmbState(Word((1,)), 0),
+        ("dangling", "leader"),
+        "AmbState(dangling=Word('1'), leader=0)",
+    ),
+    "AmbiguityGraph": (
+        lambda: ambiguity_graph(CODE),
+        ("states", "initials", "transitions", "catch_ups"),
+        "AmbiguityGraph(states=(AmbState(dangling=Word('1'), leader=0), "
+        "AmbState(dangling=Word('1'), leader=1)), "
+        "initials=((AmbState(dangling=Word('1'), leader=1), (0, 1)),), "
+        "transitions=((AmbState(dangling=Word('1'), leader=0), 2, "
+        "AmbState(dangling=Word('1'), leader=1)), (AmbState(dangling=Word('1'), leader=1), 2, "
+        "AmbState(dangling=Word('1'), leader=0))), catch_ups=())",
+    ),
+    "InfiniteWitness": (
+        lambda: delay_analysis(CODE).witness,
+        ("preamble", "period", "first_words"),
+        "InfiniteWitness(preamble=Word('0'), period=Word('1'), "
+        "first_words=(Word('0'), Word('01')))",
+    ),
+    "DelayReport": (
+        lambda: delay_analysis(Code.from_texts(["0", "01", "10"], 2)),
+        ("finite", "delay", "witness"),
+        "DelayReport(finite=False, delay=None, witness=InfiniteWitness(preamble=Word(''), "
+        "period=Word('01'), first_words=(Word('0'), Word('01'))))",
+    ),
+    "Classification": (
+        lambda: classify(CODE),
+        ("injective", "prefix", "ud", "finite_delay", "delay"),
+        "Classification(injective=True, prefix=False, ud=True, finite_delay=False, delay=None)",
+    ),
+    "ProbeResult": (
+        lambda: bounded_delay_probe(CODE, 6),
+        ("verdict", "delay", "witness"),
+        "ProbeResult(verdict='infinite', delay=None, witness=(Word('0'), Word('01')))",
+    ),
+    "KraftTrace": (
+        lambda: count_prefix_codes((1, 2, 2), 2),
+        ("profile", "n", "available", "count"),
+        f"KraftTrace(profile={PROFILE_122}, n=2, available=(2, 2), count=4)",
+    ),
+    "AnchoredFamily": (
+        lambda: count_anchored_prefix_codes((2, 3, 3), 2, 2, 3),
+        ("profile", "n", "a", "b", "index_a", "index_b", "anchor_a", "anchor_b", "count"),
+        f"AnchoredFamily(profile={PROFILE_233}, n=2, a=2, b=3, index_a=0, index_b=1, "
+        "anchor_a=Word('01'), anchor_b=Word('001'), count=10)",
+    ),
+    "InfiniteDelayWitnessSpec": (
+        lambda: infinite_delay_witness((2, 3, 3, 4), 2)[1],
+        ("case", "a", "b", "remainder", "quotient"),
+        "InfiniteDelayWitnessSpec(case='rb-many', a=2, b=3, remainder=None, quotient=None)",
+    ),
+}
+WORD_TYPES = ("Alphabet", "Word", "Word-no-glyph", "Code", "LengthProfile")
+RECORDS = tuple(name for name in CASES if name not in WORD_TYPES)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_repr(name):
+    build, _, expected = CASES[name]
+    assert repr(build()) == expected
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_hash_is_the_hash_of_the_field_tuple(name):
+    build, fields, _ = CASES[name]
+    value = build()
+    assert hash(value) == hash(tuple(getattr(value, field) for field in fields))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_assigning_or_deleting_a_field_is_refused(name):
+    build, fields, _ = CASES[name]
+    value = build()
+    before = repr(value)
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], None)
+    with pytest.raises(AttributeError):
+        delattr(value, fields[0])
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize(
+    "round_trip",
+    (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy),
+    ids=("pickle", "deepcopy", "copy"),
+)
+def test_round_trip(name, round_trip):
+    build, _, expected = CASES[name]
+    value = build()
+    again = round_trip(value)
+    assert type(again) is type(value)
+    assert again == value
+    assert hash(again) == hash(value)
+    assert repr(again) == expected
+
+
+@pytest.mark.parametrize("name", WORD_TYPES)
+def test_word_types_equal_only_their_own_type(name):
+    build, fields, _ = CASES[name]
+    value = build()
+    assert value == build()
+    assert value != tuple(getattr(value, field) for field in fields)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_named_tuples(name):
+    build, fields, _ = CASES[name]
+    value = build()
+    assert value._fields == fields
+    assert value == tuple(getattr(value, field) for field in fields)
+    assert value._asdict() == {field: getattr(value, field) for field in fields}
+    assert value._replace() == value
+
+
+def test_word_hash_and_equality():
+    assert hash(Word((0, 1))) == hash(((0, 1),))
+    assert Word((0, 1)) == Word([0, 1])
+    assert Word([0, 1]).symbols == (0, 1)
+    assert Word((0, 1)) != (0, 1)
+    assert {Word((0,)): 1}.get((0,)) is None
+
+
+def test_empty_word():
+    assert Word() == Word(()) == Word([])
+    assert Word().symbols == ()
+    assert repr(Word()) == "Word('')"
+
+
+def test_word_ordering_by_symbols():
+    words = [Word((1,)), Word((0, 1)), Word(()), Word((0,)), Word((0, 0))]
+    assert sorted(words) == [Word(()), Word((0,)), Word((0, 0)), Word((0, 1)), Word((1,))]
+    assert Word((0,)) < Word((0, 1)) <= Word((0, 1)) < Word((1,))
+    assert Word((1,)) > Word((0, 1)) >= Word((0, 1)) > Word((0,))
+    assert AmbState(Word((0,)), 1) < AmbState(Word((1,)), 0)
+    for compare in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(Word((0,)), compare)((0,)) is NotImplemented
+    with pytest.raises(TypeError):
+        Word((0,)) < (0,)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    (
+        (lambda: Alphabet(1), "alphabet size must be an integer >= 2, got 1"),
+        (lambda: Alphabet(True), "alphabet size must be an integer >= 2, got True"),
+        (lambda: Alphabet(2.0), "alphabet size must be an integer >= 2, got 2.0"),
+        (lambda: Word((-1,)), "word symbols must be non-negative integers, got -1"),
+        (lambda: Word((True,)), "word symbols must be non-negative integers, got True"),
+        (lambda: Code(Alphabet(2), ()), "a code needs at least one word"),
+        (lambda: Code(Alphabet(2), ((0,),)), "code word at position 0 is not a Word: (0,)"),
+        (lambda: Code(Alphabet(2), (Word(()),)), "code word at position 0 is empty"),
+        (
+            lambda: Code(Alphabet(2), (Word((0,)), Word((2,)))),
+            "code word at position 1 uses letter 2, but the alphabet has size 2",
+        ),
+        (lambda: LengthProfile((), ()), "a length profile needs at least one value"),
+        (lambda: LengthProfile((1,), (1, 2)), "values and multiplicities differ in length"),
+        (lambda: LengthProfile((0,), (1,)), "length values must be positive integers, got 0"),
+        (lambda: LengthProfile((1,), (0,)), "multiplicities must be positive integers, got 0"),
+        (
+            lambda: LengthProfile((2, 1), (1, 1)),
+            "length values must be strictly increasing, got (2, 1)",
+        ),
+        (lambda: InfiniteDelayWitnessSpec("x", 1, 2, None, None), "unknown witness case 'x'"),
+        (
+            lambda: InfiniteDelayWitnessSpec("two-values", 2, 3, None, None),
+            "two-values witness needs 0 < remainder < a",
+        ),
+        (
+            lambda: InfiniteDelayWitnessSpec("rb-many", 2, 3, 1, None),
+            "remainder/quotient only apply to the two-values case",
+        ),
+    ),
+)
+def test_refused_construction_messages(build, message):
+    with pytest.raises(CodesError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_code_refuses_an_alphabet_that_is_not_an_alphabet():
+    # used to fail with AttributeError: 'int' object has no attribute 'size'
+    with pytest.raises(CodesError, match=r"^code alphabet is not an Alphabet: 2$"):
+        Code(2, (Word((0,)),))
+
+
+def test_witness_spec_checks_a_replaced_field():
+    spec = InfiniteDelayWitnessSpec("two-values", 2, 5, 1, 1)
+    assert spec._replace(quotient=2).quotient == 2
+    with pytest.raises(CodesError, match="0 < remainder < a"):
+        spec._replace(remainder=2)
+    with pytest.raises(CodesError, match="only apply to the two-values case"):
+        spec._replace(case="rb-many")
+
