@@ -150,27 +150,10 @@ def _formula_counts(p: LengthProfile, n: int) -> tuple[int, Optional[int], Optio
     return pr, fd, ud
 
 
-def _first_occurrence(words: tuple[RawWord, ...]) -> tuple[int, ...]:
-    """The concatenated words with their letters renamed 0, 1, ... in order
-    of first occurrence."""
-    flat = tuple(itertools.chain.from_iterable(words))
-    names = dict(zip(dict.fromkeys(flat), itertools.count()))
-    return tuple(map(names.__getitem__, flat))
-
-
-def _renamed(words: tuple[RawWord, ...], bits: dict[RawWord, int]) -> int:
-    """The set of words, renamed, as a bit set: the sum of bits[w]."""
-    return sum(map(bits.__getitem__, words))
-
-
-def _letter_maps(pool: tuple[RawWord, ...], k: int) -> list[dict[RawWord, int]]:
-    """For every permutation of the letters 0..k-1, identity first, the bit
-    1 << j of the pool position j it renames each word to."""
-    position = {w: j for j, w in enumerate(pool)}
-    return [
-        {w: 1 << position[tuple(map(image.__getitem__, w))] for w in pool}
-        for image in itertools.permutations(range(k))
-    ]
+def _renamed(words: tuple[RawWord, ...], image: tuple[int, ...], bit: dict[RawWord, int]) -> int:
+    """The set of words with each letter a renamed image[a], as a bit set:
+    the sum of bit[w] over the renamed words."""
+    return sum(bit[tuple(map(image.__getitem__, w))] for w in words)
 
 
 def _orbits(v: int, r: int, n: int) -> list[list]:
@@ -183,34 +166,32 @@ def _orbits(v: int, r: int, n: int) -> list[list]:
     that count times C(n, k): neither n! nor a permutation of the whole
     alphabet is ever formed.
 
-    A block is matched to its orbit by at most min(r!, k!) relabellings.
-    When r <= k its key is the least first-occurrence relabelling over the r!
-    orders of its words.  Otherwise its key is its own set of words (as a bit
-    set of pool positions), and the first block of each orbit also enters
-    the sets of its images under the other k! - 1 permutations of the
-    letters.  Blocks of one orbit have the same r and k, hence the same form.
+    A block is keyed by the bit set of its words' pool positions.  The first
+    block of an orbit that the walk meets marks the keys of its images under
+    the other k! - 1 permutations of its letters, taken one at a time, and
+    each later block of the orbit pops its mark.  An orbit's k! renamings
+    equal its size times its stabilizer, which permutes the block's r words
+    faithfully, so the renamings total less than min(r!, k!) per block,
+    summed over the blocks.
     """
     orbits: list[list] = []
     for k in range(1, min(n, v * r) + 1):
         pool = _raw_pool(v, k)
+        bit = {w: 1 << j for j, w in enumerate(pool)}
         letter_bits = {w: functools.reduce(operator.or_, (1 << a for a in w)) for w in pool}
-        maps = _letter_maps(pool, k) if r > k else []
         sets_of_k_letters = math.comb(n, k)
-        orbit_of: dict[object, list] = {}
+        marks: dict[int, list] = {}
         for block in itertools.combinations(pool, r):
             if functools.reduce(operator.or_, map(letter_bits.__getitem__, block)) != (1 << k) - 1:
                 continue  # counted with fewer letters
-            if maps:
-                key = _renamed(block, maps[0])
-            else:
-                key = min(map(_first_occurrence, itertools.permutations(block)))
-            entry = orbit_of.get(key)
+            key = sum(map(bit.__getitem__, block))
+            entry = marks.pop(key, None)
             if entry is None:
                 entry = [block, 0]
                 orbits.append(entry)
-                orbit_of[key] = entry
-                for bits in maps[1:]:
-                    orbit_of[_renamed(block, bits)] = entry
+                for image in itertools.islice(itertools.permutations(range(k)), 1, None):
+                    marks[_renamed(block, image, bit)] = entry
+                marks.pop(key, None)  # its own key, if its stabilizer is not trivial
             entry[1] += sets_of_k_letters
     return orbits
 

@@ -504,6 +504,10 @@ class Classification(NamedTuple):
     delay: Optional[int]
 
 
+# (injective, prefix, ud, finite_delay, delay) of a code with a repeated word
+_IN_NO_CLASS = (False, False, False, False, None)
+
+
 def classify(code: Code) -> Classification:
     """Every class of the code from one exploration of its ambiguity graph.
 
@@ -513,22 +517,9 @@ def classify(code: Code) -> Classification:
     is uniquely decodable and the graph has no cycle.
     """
     _, words, width = _packed(code)
-    return Classification(*_classification(words, width))
-
-
-# (injective, prefix, ud, finite_delay, delay) of a code with a repeated word
-_IN_NO_CLASS = (False, False, False, False, None)
-
-
-def _classification(
-    words: tuple[int, ...], width: int
-) -> tuple[bool, bool, bool, bool, Optional[int]]:
-    """(injective, prefix, ud, finite_delay, delay) of packed words, the
-    delay counted in letters of `width` bits; a repeated word puts the code
-    in none of the classes."""
     if len(set(words)) != len(words):
-        return _IN_NO_CLASS
-    return (True, *_classes(words, width))
+        return Classification(*_IN_NO_CLASS)
+    return Classification(True, *_classes(words, width))
 
 
 def _classes(

@@ -20,7 +20,7 @@ from .census import (
     census,
     universe_size,
 )
-from .decide import _IN_NO_CLASS, RawWord, _classification, _letter_width, _packed_pool, classify
+from .decide import _IN_NO_CLASS, RawWord, _classes, _letter_width, _packed_pool, classify
 from .words import GLYPHS, Code, CodesError, ProfileLike, Word, as_length_sequence
 
 # Length sequences exercised by the verify command; all enumerable at n <= 3.
@@ -115,7 +115,7 @@ def write_classification_csv(
                 # sooner than a spread of the id would
                 class_id = 1
             else:
-                classes = _classification(words, width)
+                classes = (True, *_classes(words, width))
                 class_id = id_of.get(classes)
                 if class_id is None:
                     class_id = id_of[classes] = len(tails)
@@ -131,39 +131,19 @@ def write_classification_csv(
 
 
 def _reorderings(k: int, groups: list[tuple[int, list[int]]]) -> Iterator[int]:
-    """The index of every distinct code made from the code at index k by
-    reordering its words within each group of positions, given as the radix
-    of the group's rank digits and their place values."""
+    """The index of every code made from the code at index k by reordering
+    its words within each group of positions, given as the radix of the
+    group's rank digits and their place values.  The code has no repeated
+    word, so the ranks within a group are distinct, every order of them is
+    a distinct code, and the work is the orbit's size."""
     if not groups:
         yield k
         return
     (radix, weights), *others = groups
     ranks = [k // weight % radix for weight in weights]
     own = sum(map(operator.mul, ranks, weights))
-    for ordered in _orders(ranks, weights):
-        yield from _reorderings(k - own + ordered, others)
-
-
-def _orders(values: list[int], weights: list[int]) -> Iterator[int]:
-    """sum of order[j] * weights[j] over the distinct orders of values, each
-    once: every next order is made in place as the lexicographic successor
-    of the last (repeated values give no repeated order), so the work is
-    bounded by the orbit's size, not by the number of permutations, and the
-    memory by the number of values."""
-    order = sorted(values)
-    last = len(order) - 1
-    while True:
-        yield sum(map(operator.mul, order, weights))
-        i = last - 1
-        while i >= 0 and order[i] >= order[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = last
-        while order[j] <= order[i]:
-            j -= 1
-        order[i], order[j] = order[j], order[i]
-        order[i + 1 :] = reversed(order[i + 1 :])
+    for order in itertools.permutations(ranks):
+        yield from _reorderings(k - own + sum(map(operator.mul, order, weights)), others)
 
 
 def _csv_tail(classes: tuple[bool, bool, bool, bool, Optional[int]]) -> str:

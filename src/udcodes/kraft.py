@@ -364,9 +364,15 @@ class InfiniteDelayWitnessSpec(_WitnessCase):
     def __new__(cls, case: str, a: int, b: int, remainder: Optional[int], quotient: Optional[int]):
         if case not in ("rb-many", "three-values", "two-values"):
             raise CodesError(f"unknown witness case {case!r}")
+        if not 0 < a < b:
+            raise CodesError(f"witness needs 0 < a < b, got a={a}, b={b}")
         if case == "two-values":
             if remainder is None or not 0 < remainder < a:
                 raise CodesError("two-values witness needs 0 < remainder < a")
+            if (remainder, quotient) != ((b - a) % a, (b - a) // a):
+                raise CodesError(
+                    "two-values witness needs remainder = (b - a) mod a and quotient = (b - a) // a"
+                )
         elif remainder is not None or quotient is not None:
             raise CodesError("remainder/quotient only apply to the two-values case")
         return super().__new__(cls, case, a, b, remainder, quotient)

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from udcodes import cli
 from udcodes.cli import main
+from udcodes.enumeration import BUILTIN_SUITE
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -386,6 +388,21 @@ def test_verify_skips_profiles_above_the_cap(monkeypatch):
         ("2,2,4", "census-cross-check", "skipped: universe 256 above cap"),
         ("2,3,3", "census-cross-check", "skipped: universe 256 above cap"),
     ]
+
+
+def test_verify_stops_a_profile_at_its_first_alphabet_size_above_the_cap(monkeypatch):
+    """A huge --alphabet-max ends: each profile stops at its first skip."""
+    monkeypatch.setenv("CODES_UNIVERSE_CAP", "100")
+    rc, payload = run_json("verify", "--alphabet-max", "1000000000000")
+    assert rc == 0
+    checks = payload["results"]["checks"]
+    for lengths in BUILTIN_SUITE:
+        profile = ",".join(map(str, lengths))
+        own = [e for e in checks if e["profile"] == profile]
+        skipped = [e for e in own if e["detail"].startswith("skipped")]
+        least = next(n for n in itertools.count(2) if n ** sum(lengths) > 100)
+        assert skipped == [own[-1]], profile
+        assert skipped[0]["n"] == str(least), profile
 
 
 def test_classify_all_stdout():

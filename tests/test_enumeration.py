@@ -204,8 +204,14 @@ def _least_image(block, n):
     )
 
 
+# first blocks with fewer words than letters, or a large stabilizer
+ORBIT_EXTRAS = [((2, 2, 2, 2), 4), ((1,) * 5, 5), ((3, 3), 4)]
+
+
 @pytest.mark.parametrize(
-    "profile,n", CENSUS_DIFFERENTIAL, ids=[f"{p}-{n}" for p, n in CENSUS_DIFFERENTIAL]
+    "profile,n",
+    CENSUS_DIFFERENTIAL + ORBIT_EXTRAS,
+    ids=[f"{p}-{n}" for p, n in CENSUS_DIFFERENTIAL + ORBIT_EXTRAS],
 )
 def test_first_block_orbits(profile, n):
     """One representative per orbit of the first block, with the orbit's size."""
@@ -243,13 +249,13 @@ def test_census_kernel_calls(monkeypatch, profile, n, calls):
 def test_orbit_key_tries_at_most_min_r_k_factorial_relabellings(monkeypatch, profile, n):
     census_module = importlib.import_module("udcodes.census")
     tries = collections.Counter()
-    for name in ("_first_occurrence", "_renamed"):
+    relabel = census_module._renamed
 
-        def counted(words, *rest, relabel=getattr(census_module, name)):
-            tries[frozenset(words)] += 1
-            return relabel(words, *rest)
+    def counted(words, *rest):
+        tries[frozenset(words)] += 1
+        return relabel(words, *rest)
 
-        monkeypatch.setattr(census_module, name, counted)
+    monkeypatch.setattr(census_module, "_renamed", counted)
     report = census(profile, n, mode="enumeration")
     assert report.pr == report.fd == report.ud == math.perm(n ** profile[0], len(profile))
     assert tries
@@ -257,6 +263,33 @@ def test_orbit_key_tries_at_most_min_r_k_factorial_relabellings(monkeypatch, pro
     for block, count in tries.items():
         k = len({a for w in block for a in w})
         assert count <= min(math.factorial(r), math.factorial(k)), (block, count)
+
+
+@pytest.mark.parametrize(
+    "v,r,n", [(3, 2, 10), (2, 4, 4), (1, 5, 5)], ids=["33-10", "2222-4", "11111-5"]
+)
+def test_orbit_renamings_total_below_min_r_k_factorial_per_block(monkeypatch, v, r, n):
+    """An orbit's first block renames itself k! - 1 times, which can exceed
+    min(r!, k!) for that block alone when r < k, but the orbit's k!
+    renamings are its size times a stabilizer of at most r! elements."""
+    census_module = importlib.import_module("udcodes.census")
+    calls = 0
+    relabel = census_module._renamed
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return relabel(*args)
+
+    monkeypatch.setattr(census_module, "_renamed", counted)
+    orbits = census_module._orbits(v, r, n)
+    bound = 0
+    for k in range(1, min(n, v * r) + 1):
+        for block in itertools.combinations(itertools.product(range(k), repeat=v), r):
+            if len({a for w in block for a in w}) == k:
+                bound += min(math.factorial(r), math.factorial(k))
+    assert sum(size for _, size in orbits) == math.comb(n**v, r)
+    assert 0 < calls < bound
 
 
 @pytest.mark.parametrize("mode", ("enumeration", "both"))
@@ -682,7 +715,7 @@ def test_classification_csv_kernel_calls(monkeypatch, profile, n, calls):
     orbits found by a brute force that keys every such code by the least of
     it and its reversal with each group of equal-length words sorted."""
     assert _injective_orbits(profile, n) == calls
-    kernel = enumeration._classification
+    kernel = enumeration._classes
 
     for lengths in _length_orders(profile):
         seen = []
@@ -691,7 +724,7 @@ def test_classification_csv_kernel_calls(monkeypatch, profile, n, calls):
             seen.append(words)
             return kernel(words, width)
 
-        monkeypatch.setattr(enumeration, "_classification", counted)
+        monkeypatch.setattr(enumeration, "_classes", counted)
         write_classification_csv(lengths, n, io.StringIO())
         assert len(seen) == calls, lengths
 

@@ -245,6 +245,14 @@ def test_word_ordering_by_symbols():
             lambda: InfiniteDelayWitnessSpec("rb-many", 2, 3, 1, None),
             "remainder/quotient only apply to the two-values case",
         ),
+        (
+            lambda: InfiniteDelayWitnessSpec("two-values", 2, 5, 1, None),
+            "two-values witness needs remainder = (b - a) mod a and quotient = (b - a) // a",
+        ),
+        (
+            lambda: InfiniteDelayWitnessSpec("rb-many", 3, 2, None, None),
+            "witness needs 0 < a < b, got a=3, b=2",
+        ),
     ),
 )
 def test_refused_construction_messages(build, message):
@@ -261,9 +269,9 @@ def test_code_refuses_an_alphabet_that_is_not_an_alphabet():
 
 def test_witness_spec_checks_a_replaced_field():
     spec = InfiniteDelayWitnessSpec("two-values", 2, 5, 1, 1)
-    assert spec._replace(quotient=2).quotient == 2
+    with pytest.raises(CodesError, match=r"quotient = \(b - a\) // a"):
+        spec._replace(quotient=2)
     with pytest.raises(CodesError, match="0 < remainder < a"):
         spec._replace(remainder=2)
     with pytest.raises(CodesError, match="only apply to the two-values case"):
         spec._replace(case="rb-many")
-
