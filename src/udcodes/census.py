@@ -57,7 +57,8 @@ def count_233(n: int) -> CodeCounts:
 
 def count_all_a_then_b(n: int, m: int, a: int, b: int) -> CodeCounts:
     """Exact |UD| and |PR| for m-1 words of length a plus one of length b,
-    where a divides b.  Negative factors clamp to zero (empty set)."""
+    where a divides b.  With more short words than n^a, the falling
+    factorial and so both counts are zero."""
     Alphabet(n)
     if m < 2:
         raise CodesError(f"need at least two words, got m={m}")
@@ -66,11 +67,9 @@ def count_all_a_then_b(n: int, m: int, a: int, b: int) -> CodeCounts:
             f"the closed form requires the short length to divide the long "
             f"one; {a} does not divide {b}"
         )
-    falling = 1
-    for k in range(m - 1):
-        falling *= max(n**a - k, 0)
-    ud = falling * max(n**b - (m - 1) ** (b // a), 0)
-    pr = falling * max(n**b - (m - 1) * n ** (b - a), 0)
+    falling = math.perm(n**a, m - 1)
+    ud = falling * (n**b - (m - 1) ** (b // a))
+    pr = falling * (n**b - (m - 1) * n ** (b - a))
     return CodeCounts(ud, pr)
 
 

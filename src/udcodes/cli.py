@@ -237,14 +237,7 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
     results: dict = {
         "kraft_sum": kraft_sum(lengths, n),
         "feasible": is_feasible(lengths, n),
-        "census": {
-            "total": report.total,
-            "pr": report.pr,
-            "fd": report.fd,
-            "ud": report.ud,
-            "source": report.source,
-            "discrepancies": list(report.discrepancies),
-        },
+        "census": {k: v for k, v in report._asdict().items() if k not in ("profile", "n")},
     }
     if args.anchored is not None:
         a, b = _parse_pair(args.anchored)
@@ -351,9 +344,7 @@ def _verify_profile(lengths: tuple[int, ...], n: int, cap: int, checks: list) ->
             values = sorted(profile)
             for i, a in enumerate(values):
                 for b in values[i + 1 :]:
-                    bound = theorem1_bound(
-                        lengths, n, a, b, enumeration_cap=cap, ud_count=report.ud
-                    )
+                    bound = theorem1_bound(lengths, n, a, b, ud_count=report.ud)
                     record(
                         "ratio-bound",
                         bound.satisfied is not False,
@@ -552,16 +543,16 @@ def _run(argv: Optional[list[str]]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    report: dict = {"command": args.command, "inputs": {}, "results": {}}
+    # the subcommand's own arguments, in the order it declares them
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "pretty")}
+    report: dict = {"command": args.command, "inputs": _s(inputs), "results": {}}
     try:
         # a handler returns (results, exit code), or results None when it
         # wrote its own output
         results, exit_code = args.handler(args)
         if results is None:
             return exit_code
-        # the subcommand's own arguments, in the order it declares them
-        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "pretty")}
-        report.update(inputs=_s(inputs), results=_s(results), status="ok")
+        report.update(results=_s(results), status="ok")
     except BrokenPipeError:
         raise  # a closed stdout: main ends the run without a report
     except (CodesError, OSError) as exc:

@@ -135,25 +135,23 @@ def factorize(code: Code, u: Word) -> Optional[tuple[int, ...]]:
     words = _raw(code)
     target = u.symbols
     length = len(target)
-    # count the parses of every prefix; unique decodability forces the
-    # count at `length` to be 0 or 1, and the backward walk is then forced
-    counts = [0] * (length + 1)
-    counts[0] = 1
-    preds: list[list[tuple[int, int]]] = [[] for _ in range(length + 1)]
+    # a uniquely decodable code parses each prefix of u in at most one way,
+    # so the first word that ends a parsed prefix is its only last word;
+    # parsed maps each parsed end to (start, word index)
+    parsed: dict[int, Optional[tuple[int, int]]] = {0: None}
     for end in range(1, length + 1):
         for idx, w in enumerate(words):
             start = end - len(w)
-            if start >= 0 and counts[start] and target[start:end] == w:
-                counts[end] += counts[start]
-                preds[end].append((start, idx))
-    if counts[length] == 0:
+            if start in parsed and target[start:end] == w:
+                parsed[end] = (start, idx)
+                break
+    if length not in parsed:
         return None
     result = []
     end = length
     while end > 0:
-        start, idx = next((s, i) for (s, i) in preds[end] if counts[s])
+        end, idx = parsed[end]
         result.append(idx)
-        end = start
     return tuple(reversed(result))
 
 

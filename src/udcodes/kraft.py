@@ -18,7 +18,7 @@ touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import perm
 from typing import NamedTuple, Optional
 
 from .words import (
@@ -80,7 +80,9 @@ class KraftTrace(NamedTuple):
 
     ``available[i]`` is the number of words of the i-th length value not
     shadowed by shorter chosen words, following the recurrence
-    N[0] = n^v[0],  N[i+1] = n^(v[i+1]-v[i]) * (N[i] - r[i]).
+    N[0] = n^v[0],  N[i+1] = n^(v[i+1]-v[i]) * (N[i] - r[i]).  Each stage
+    picks its r[i] words in order from the N[i] free numerals, so
+    count = prod N[i]! / (N[i] - r[i])!, and 0 once some N[i] < r[i].
     """
 
     profile: LengthProfile
@@ -96,20 +98,14 @@ def count_prefix_codes(profile: ProfileLike, n: int) -> KraftTrace:
     check_power_bits(p, n)
     available = []
     count = 1
-    previous_n = None
-    previous_v = None
-    for v, r in zip(p.values, p.multiplicities):
-        if previous_n is None:
-            n_i = n**v
-        else:
-            n_i = n ** (v - previous_v) * previous_n
-        available.append(n_i)
-        if n_i < r:
-            count = 0
-        else:
-            count *= comb(n_i, r) * factorial(r)
-        previous_n = n_i - r
-        previous_v = v
+    free = 1  # the empty word is the one numeral of length 0
+    for v, shorter, r in zip(p.values, (0,) + p.values, p.multiplicities):
+        free *= n ** (v - shorter)
+        available.append(free)
+        # after an infeasible stage, free may be negative, which perm refuses
+        if count:
+            count *= perm(free, r)
+        free -= r
     return KraftTrace(p, n, tuple(available), count)
 
 
@@ -119,7 +115,8 @@ def count_prefix_codes(profile: ProfileLike, n: int) -> KraftTrace:
 # A word of length l is its base-n numeral; a chosen word w of length k <= l
 # shadows the contiguous block [w*n^(l-k), (w+1)*n^(l-k)).  Picking the
 # lexicographically smallest eligible words is then a walk over the gaps
-# between merged blocks, which stays cheap no matter how large n^l is.
+# between the blocks, sorted by their start and possibly overlapping, which
+# stays cheap no matter how large n^l is.
 
 Chosen = list[tuple[int, int]]  # (length, numeral value)
 
@@ -131,17 +128,7 @@ def _blocked(chosen: Chosen, length: int, n: int) -> list[tuple[int, int]]:
             scale = n ** (length - l)
             spans.append((v * scale, (v + 1) * scale))
     spans.sort()
-    merged: list[tuple[int, int]] = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def _is_blocked(chosen: Chosen, length: int, n: int, value: int) -> bool:
-    return any(lo <= value < hi for lo, hi in _blocked(chosen, length, n))
+    return spans
 
 
 def _eligible_ascending(
@@ -149,11 +136,11 @@ def _eligible_ascending(
 ) -> list[int]:
     """First `needed` unshadowed numerals of this length, ascending; may run
     short, which callers treat as an infeasible stage."""
-    merged = _blocked(chosen + [(length, v) for v in sorted(excluded)], length, n)
+    blocks = _blocked(chosen + [(length, v) for v in sorted(excluded)], length, n)
     out: list[int] = []
     cursor = 0
     top = n**length
-    for lo, hi in merged + [(top, top)]:
+    for lo, hi in blocks + [(top, top)]:
         while cursor < lo and len(out) < needed:
             out.append(cursor)
             cursor += 1
@@ -196,8 +183,9 @@ def _staged_prefix_code(
     words_at: dict[int, list[Word]] = {}
     for value, mult in zip(profile.values, profile.multiplicities):
         pinned = forced.get(value, [])
+        blocks = _blocked(chosen, value, n)
         for v in pinned:
-            if _is_blocked(chosen, value, n, v):
+            if any(lo <= v < hi for lo, hi in blocks):
                 raise ConstructionError(
                     f"length {value}: forced word is shadowed by an earlier choice",
                     stage=value,
@@ -387,18 +375,17 @@ def fd_matches_ud_condition(profile: ProfileLike) -> bool:
     """The alphabet-independent condition under which finite-delay codes
     exhaust the uniquely decodable ones: at most two words, all lengths
     equal, or all but one words sharing a length that divides the length of
-    the remaining one."""
+    the remaining one, which is then the longer one."""
     p = as_profile(profile)
-    if p.total <= 2 or p.is_constant:
-        return True
-    if len(p.values) == 2:
-        for odd, common in ((0, 1), (1, 0)):
-            if (
-                p.multiplicities[odd] == 1
-                and p.values[odd] % p.values[common] == 0
-            ):
-                return True
-    return False
+    return (
+        p.total <= 2
+        or p.is_constant
+        or (
+            len(p.values) == 2
+            and p.multiplicities[1] == 1
+            and p.values[1] % p.values[0] == 0
+        )
+    )
 
 
 def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, InfiniteDelayWitnessSpec]:
@@ -433,11 +420,8 @@ def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, Infinite
     # exactly two values, the longer unique and not a multiple of the shorter
     remainder = (b - a) % a
     quotient = (b - a - remainder) // a
+    # the FD condition fails with r_b = 1, so r_a >= 2; Kraft gives r_a < n^a
     r_a = profile.multiplicities[0]
-    if not 2 <= r_a < n**a:
-        raise ConstructionError(
-            f"length {a}: need between 2 and {n ** a - 1} short words, have {r_a}", stage=a
-        )
     # numerals of 1^a and of the banned word 1^(a-remainder) 0^remainder
     ones = (n**a - 1) // (n - 1)
     banned = (n ** (a - remainder) - 1) // (n - 1) * n**remainder

@@ -18,7 +18,7 @@ from udcodes.census import (
     theorem1_bound,
     universe_size,
 )
-from udcodes.kraft import MAX_POWER_BITS, count_prefix_codes, kraft_sum
+from udcodes.kraft import MAX_POWER_BITS, count_prefix_codes, is_feasible, kraft_sum
 from udcodes.words import CodesError, LengthProfile
 
 
@@ -245,3 +245,38 @@ def test_fd_condition_is_alphabet_free():
         assert fd_matches_ud_condition(lengths) == fd_matches_ud_condition(
             LengthProfile.from_lengths(lengths)
         )
+
+
+def _small_profiles(total: int, least: int = 1):
+    """Every non-decreasing length sequence with lengths >= least and sum <= total."""
+    yield ()
+    for first in range(least, total + 1):
+        for rest in _small_profiles(total - first, first):
+            yield (first,) + rest
+
+
+# Each alphabet size goes up to the largest sum whose census stays fast.
+CHARACTERISED = [
+    (lengths, n)
+    for n, total in ((2, 12), (3, 9), (4, 7), (5, 6))
+    for lengths in _small_profiles(total)
+    if len(lengths) >= 2 and is_feasible(lengths, n)
+]
+
+
+def test_characterised_profiles_are_the_expected_ones():
+    assert len(CHARACTERISED) == 213
+
+
+@pytest.mark.parametrize(
+    "lengths,n", CHARACTERISED, ids=[f"{l}-{n}" for l, n in CHARACTERISED]
+)
+def test_the_paper_characterisations_on_small_profiles(lengths, n):
+    report = census(lengths, n, mode="enumeration")
+    assert (report.pr == report.ud) == (len(set(lengths)) == 1)
+    assert (report.fd == report.ud) == fd_matches_ud_condition(lengths)
+    assert report.pr == count_prefix_codes(lengths, n).count
+    values = sorted(set(lengths))
+    for i, a in enumerate(values):
+        for b in values[i + 1 :]:
+            assert theorem1_bound(lengths, n, a, b, ud_count=report.ud).satisfied

@@ -239,6 +239,20 @@ def test_count_output_is_byte_stable():
     assert first == second
 
 
+def test_error_report_echoes_the_inputs():
+    rc, payload = run_json(
+        "count", "--lengths", "2,3", "--alphabet", "2", "--anchored", "3,2"
+    )
+    assert rc == 2
+    assert payload["status"] == "error"
+    assert payload["inputs"] == {
+        "lengths": "2,3",
+        "alphabet": "2",
+        "method": "both",
+        "anchored": "3,2",
+    }
+
+
 def test_witness_prefix():
     rc, payload = run_json("witness", "--kind", "prefix", "--lengths", "2,3,3", "--alphabet", "2")
     assert rc == 0
