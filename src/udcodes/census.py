@@ -20,7 +20,15 @@ from .kraft import (
     is_feasible,
     kraft_sum,
 )
-from .words import Alphabet, CodesError, LengthProfile, ProfileLike, as_length_sequence, as_profile
+from .words import (
+    Alphabet,
+    CodesError,
+    LengthProfile,
+    ProfileLike,
+    as_length_sequence,
+    as_profile,
+    decimal_text,
+)
 
 DEFAULT_UNIVERSE_CAP = 10**6
 
@@ -98,7 +106,8 @@ def closed_form_counts(profile: ProfileLike, n: int) -> Optional[CodeCounts]:
 class UniverseTooLarge(CodesError):
     def __init__(self, total: int, cap: int):
         super().__init__(
-            f"enumeration universe holds {total} codes, above the cap of {cap}"
+            f"enumeration universe holds {decimal_text(total)} codes, "
+            f"above the cap of {decimal_text(cap)}"
         )
         self.total = total
         self.cap = cap
@@ -300,7 +309,7 @@ def theorem1_bound(
     if not is_feasible(p, n):
         raise CodesError(
             f"no uniquely decodable code with these lengths exists at alphabet "
-            f"size {n} (Kraft sum {kraft_sum(p, n)} exceeds 1)"
+            f"size {n} (Kraft sum {decimal_text(kraft_sum(p, n))} exceeds 1)"
         )
     r_a = p.multiplicity(a)
     r_b = p.multiplicity(b)
@@ -327,7 +336,7 @@ def _require_feasible(p: LengthProfile, n: int) -> None:
     if not is_feasible(p, n):
         raise CodesError(
             f"no uniquely decodable code with these lengths exists at alphabet "
-            f"size {n} (Kraft sum {kraft_sum(p, n)} exceeds 1), so the "
+            f"size {n} (Kraft sum {decimal_text(kraft_sum(p, n))} exceeds 1), so the "
             f"equality question is vacuous"
         )
 

@@ -11,7 +11,6 @@ Exit status: 0 ok, 1 verification discrepancy, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import os
 import sys
@@ -43,58 +42,24 @@ from .kraft import (
     kraft_sum,
     ud_nonprefix_witness,
 )
-from .words import CodeFileError, CodesError, code_to_text, parse_code_file, parse_decimal
+from .words import (
+    CodeFileError,
+    CodesError,
+    code_to_text,
+    decimal_text,
+    parse_code_file,
+    parse_decimal,
+)
 
 ENV_CAP = "CODES_UNIVERSE_CAP"
-
-
-# Ints up to this many bits are rendered by str(); it is quadratic in the
-# length, so longer ones are split in halves and rebuilt as a Decimal.
-_STR_BITS = 2**14
-
-
-def _decimal_text(value: int) -> str:
-    """str(value), in time near-linear in its length."""
-    if value.bit_length() <= _STR_BITS:
-        return str(value)
-    powers: dict[int, decimal.Decimal] = {}
-
-    def power(bits: int) -> decimal.Decimal:  # 2 ** bits
-        result = powers.get(bits)
-        if result is None:
-            if bits <= _STR_BITS:
-                result = decimal.Decimal(1 << bits)
-            else:
-                result = power(bits >> 1) * power(bits - (bits >> 1))
-            powers[bits] = result
-        return result
-
-    def convert(n: int, bits: int) -> decimal.Decimal:
-        if bits <= _STR_BITS:
-            return decimal.Decimal(n)
-        low = bits >> 1
-        high = n >> low
-        return convert(n - (high << low), low) + convert(high, bits - low) * power(low)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        text = str(convert(abs(value), value.bit_length()))
-    return "-" + text if value < 0 else text
 
 
 def _s(value: Any) -> Any:
     """Numbers to decimal strings, recursively; leaves bools/None/str alone."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return _decimal_text(value)
-    if isinstance(value, Fraction):
-        numerator = _decimal_text(value.numerator)
-        if value.denominator == 1:
-            return numerator
-        return f"{numerator}/{_decimal_text(value.denominator)}"
+    if isinstance(value, (int, Fraction)):
+        return decimal_text(value)
     if isinstance(value, dict):
         return {k: _s(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -311,7 +276,9 @@ def _verify_profile(lengths: tuple[int, ...], n: int, cap: int, checks: list) ->
     try:
         report = census(lengths, n, mode="both", cap=cap)
     except UniverseTooLarge as exc:
-        record("census-cross-check", True, f"skipped: universe {exc.total} above cap")
+        record(
+            "census-cross-check", True, f"skipped: universe {decimal_text(exc.total)} above cap"
+        )
         return False
     record(
         "census-cross-check",
@@ -432,7 +399,7 @@ def cmd_classify_all(args: argparse.Namespace) -> tuple[Optional[dict], int]:
     return {"rows": rows, "path": args.output}, 0
 
 
-def _render_pretty(value: Any, indent: int = 0) -> list[str]:
+def _render_pretty(value: dict | list, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(value, dict):
@@ -442,15 +409,13 @@ def _render_pretty(value: Any, indent: int = 0) -> list[str]:
                 lines.extend(_render_pretty(item, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {item}")
-    elif isinstance(value, list):
+    else:
         for item in value:
             if isinstance(item, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_pretty(item, indent + 1))
             else:
                 lines.append(f"{pad}- {item}")
-    else:
-        lines.append(f"{pad}{value}")
     return lines
 
 
@@ -524,6 +489,9 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # numbers are read and printed in full, however long
     try:
         exit_code = _run(argv)
         sys.stdout.flush()
@@ -532,12 +500,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         # is pointed at devnull, so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)  # in-process callers keep their guard
     return exit_code
 
 
 def _run(argv: Optional[list[str]]) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # counts are printed in full, however long
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

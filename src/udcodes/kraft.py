@@ -5,11 +5,9 @@ witnesses, and infinite-delay witnesses.
 
 One staged builder fills every prefix construction: for each length value
 in increasing order it places the forced words and then the smallest words
-neither shadowed by earlier choices nor excluded.  The anchored family
-follows two rules on the all-zero word, with z the optional
-``zero_word_length``: 0^v is forced when v == z, and excluded when v < z
-(v < b when no z is given), since a shorter all-zero word would shadow an
-anchor or the forced 0^z.
+neither shadowed by earlier choices nor excluded.  One rule excludes: a
+word is never picked when it is forced or is a prefix of a longer forced
+word.  So no pick shadows a forced word.
 
 All counting is exact big-integer / rational arithmetic; nothing here ever
 touches floating point.
@@ -30,6 +28,7 @@ from .words import (
     Word,
     as_length_sequence,
     as_profile,
+    decimal_text,
 )
 
 
@@ -54,9 +53,10 @@ def check_power_bits(profile: ProfileLike, n: int) -> None:
     p = as_profile(profile)
     total = sum(v * r for v, r in zip(p.values, p.multiplicities))
     if total * (n - 1).bit_length() > MAX_POWER_BITS:
+        total_text, n_text = decimal_text(total), decimal_text(n)
         raise CodesError(
-            f"lengths summing to {total} are refused at alphabet size {n}: "
-            f"{n}^{total} may need more than {MAX_POWER_BITS} bits"
+            f"lengths summing to {total_text} are refused at alphabet size {n_text}: "
+            f"{n_text}^{total_text} may need more than {MAX_POWER_BITS} bits"
         )
 
 
@@ -166,37 +166,35 @@ def _arrange(raw_lengths: tuple[int, ...], words_at: dict[int, list[Word]], n: i
 
 
 def _staged_prefix_code(
-    raw: tuple[int, ...],
-    profile: LengthProfile,
-    n: int,
-    forced: dict[int, list[int]],
-    zero_excluded_below: int,
+    raw: tuple[int, ...], profile: LengthProfile, n: int, forced: dict[int, list[int]]
 ) -> Code:
     """The staged prefix construction.  After the Kraft check, each length
-    value in increasing order takes its `forced` numerals first, then the
-    smallest numerals neither shadowed by earlier choices nor excluded; the
-    all-zero numeral 0 is excluded at lengths below `zero_excluded_below`."""
+    value v in increasing order takes its `forced` numerals first, then the
+    smallest numerals neither shadowed by earlier choices nor excluded.  At
+    v, the forced numerals of v are excluded, and so is the length-v prefix
+    of every forced numeral of a longer length.  No forced word may be a
+    prefix of another."""
     s = kraft_sum(profile, n)
     if s > 1:
-        raise ConstructionError(f"no prefix code exists: Kraft sum {s} exceeds 1")
+        raise ConstructionError(
+            f"no prefix code exists: Kraft sum {decimal_text(s)} exceeds 1"
+        )
     chosen: Chosen = []
     words_at: dict[int, list[Word]] = {}
     for value, mult in zip(profile.values, profile.multiplicities):
         pinned = forced.get(value, [])
-        blocks = _blocked(chosen, value, n)
-        for v in pinned:
-            if any(lo <= v < hi for lo, hi in blocks):
-                raise ConstructionError(
-                    f"length {value}: forced word is shadowed by an earlier choice",
-                    stage=value,
-                )
         extras_needed = mult - len(pinned)
         if extras_needed < 0:
             raise ConstructionError(
                 f"length {value}: {len(pinned)} forced words but only {mult} slots",
                 stage=value,
             )
-        excluded = set(pinned) | ({0} if value < zero_excluded_below else set())
+        excluded = set(pinned) | {
+            f // n ** (length - value)
+            for length, numerals in forced.items()
+            if length > value
+            for f in numerals
+        }
         picks = _eligible_ascending(n, value, chosen, excluded, extras_needed)
         if len(picks) < extras_needed:
             raise ConstructionError(
@@ -217,7 +215,7 @@ def canonical_prefix_code(lengths: ProfileLike, n: int) -> Code:
     """
     Alphabet(n)
     raw = as_length_sequence(lengths)
-    return _staged_prefix_code(raw, LengthProfile.from_lengths(raw), n, {}, 0)
+    return _staged_prefix_code(raw, LengthProfile.from_lengths(raw), n, {})
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +282,13 @@ def anchored_prefix_code(
 ) -> Code:
     """A canonical member of the anchored family.
 
-    The staged builder forces the anchors at lengths a and b.  With z the
-    given ``zero_word_length``, it also forces the all-zero word 0^z, and it
-    excludes every shorter all-zero word: below z, or below b when no z is
-    given, 0^v would shadow an anchor or 0^z.  Every remaining slot takes
-    the smallest eligible words.  Forced words occupy the earliest slots of
-    their length (anchor first, then the forced zero word), extras follow in
-    ascending order.
+    The staged builder forces the anchors at lengths a and b and, with z the
+    given ``zero_word_length``, the all-zero word 0^z.  Every remaining slot
+    takes the smallest word that is neither shadowed nor a prefix of a
+    forced word; for the anchors and 0^z those prefixes are the all-zero
+    words shorter than b, or than z when it is given.  Forced words occupy
+    the earliest slots of their length (anchor first, then the forced zero
+    word), extras follow in ascending order.
     """
     Alphabet(n)
     raw = as_length_sequence(lengths)
@@ -302,12 +300,9 @@ def anchored_prefix_code(
                 f"zero_word_length must be a length value >= {b}, got {zero_word_length}"
             )
     forced = {a: [1], b: [1]}  # 1 is the numeral of 0^(v-1) 1
-    if zero_word_length is None:
-        zero_excluded_below = b
-    else:
+    if zero_word_length is not None:
         forced.setdefault(zero_word_length, []).append(0)
-        zero_excluded_below = zero_word_length
-    return _staged_prefix_code(raw, profile, n, forced, zero_excluded_below)
+    return _staged_prefix_code(raw, profile, n, forced)
 
 
 def ud_nonprefix_witness(lengths: ProfileLike, n: int) -> Code:
@@ -406,7 +401,9 @@ def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, Infinite
         )
     s = kraft_sum(profile, n)
     if s > 1:
-        raise CodesError(f"no uniquely decodable code exists: Kraft sum {s} exceeds 1")
+        raise CodesError(
+            f"no uniquely decodable code exists: Kraft sum {decimal_text(s)} exceeds 1"
+        )
 
     a, b = profile.values[0], profile.values[1]
     r_b = profile.multiplicities[1]

@@ -11,8 +11,10 @@ with the same words in a different order are different codes.
 
 from __future__ import annotations
 
+import decimal
 import functools
 from collections import Counter
+from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -311,6 +313,49 @@ def parse_decimal(text: str) -> int:
     """The int that `text` writes under the rule of _decimal_digits."""
     negative, digits = _decimal_digits(text)
     return -int(digits) if negative else int(digits)
+
+
+# Ints up to this many bits are rendered by str().  It is quadratic in the
+# length and, by default, refuses more than 4,300 digits (2^13 bits are
+# 2,467 digits), so longer ones are split in halves and rebuilt as a Decimal.
+_STR_BITS = 2**13
+
+
+def decimal_text(value: int | Fraction) -> str:
+    """str(value) of an int or a Fraction, in time near-linear in its length
+    and under any int-to-str digit limit."""
+    if isinstance(value, Fraction):
+        numerator = decimal_text(value.numerator)
+        if value.denominator == 1:
+            return numerator
+        return f"{numerator}/{decimal_text(value.denominator)}"
+    if value.bit_length() <= _STR_BITS:
+        return str(value)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(bits: int) -> decimal.Decimal:  # 2 ** bits
+        result = powers.get(bits)
+        if result is None:
+            if bits <= _STR_BITS:
+                result = decimal.Decimal(1 << bits)
+            else:
+                result = power(bits >> 1) * power(bits - (bits >> 1))
+            powers[bits] = result
+        return result
+
+    def convert(n: int, bits: int) -> decimal.Decimal:
+        if bits <= _STR_BITS:
+            return decimal.Decimal(n)
+        low = bits >> 1
+        high = n >> low
+        return convert(n - (high << low), low) + convert(high, bits - low) * power(low)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(value), value.bit_length()))
+    return "-" + text if value < 0 else text
 
 
 def _strip_comment(line: str) -> str:

@@ -7,6 +7,7 @@ import pytest
 from udcodes.census import (
     BoundReport,
     CodeCounts,
+    UniverseTooLarge,
     census,
     closed_form_counts,
     count_233,
@@ -27,6 +28,11 @@ def test_count_pr_pair():
     assert count_pr_pair(1, 2, 2) == 4
     assert count_pr_pair(1, 1, 2) == 2
     assert count_pr_pair(1, 1, 3) == 6
+
+
+def test_count_pr_pair_refuses_a_length_below_1():
+    with pytest.raises(CodesError, match="lengths must be >= 1, got a=0, b=2"):
+        count_pr_pair(0, 2, 2)
 
 
 def test_count_pr_pair_order_agnostic():
@@ -180,6 +186,53 @@ def test_powers_past_the_bit_bound_are_refused_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(
+            lambda: census((20000,), 2),
+            UniverseTooLarge,
+            r"holds \d{6021} codes, above the cap of 1000000$",
+            id="census-universe",
+        ),
+        pytest.param(
+            lambda: census((1,), 10**5000),
+            UniverseTooLarge,
+            r"holds 10{5000} codes",
+            id="census-universe-of-a-huge-alphabet",
+        ),
+        pytest.param(
+            lambda: census((10**5000,), 2),
+            CodesError,
+            r"^lengths summing to 10{5000} are refused at alphabet size 2: 2\^10{5000} ",
+            id="census-huge-length",
+        ),
+        pytest.param(
+            lambda: theorem1_bound((1, 1, 1, 20000), 2, 1, 20000),
+            CodesError,
+            r"\(Kraft sum \d{6021}/\d{6021} exceeds 1\)$",
+            id="theorem1-bound-infeasible",
+        ),
+        pytest.param(
+            lambda: is_pr_eq_ud((1, 1, 1, 20000), 2),
+            CodesError,
+            r"\(Kraft sum \d{6021}/\d{6021} exceeds 1\), so the equality question is vacuous$",
+            id="is-pr-eq-ud-infeasible",
+        ),
+    ],
+)
+def test_refusals_render_numbers_of_any_length(default_digit_limit, call, error, message):
+    """A refusal names its huge numbers in full under Python's default
+    int-to-str digit limit, and raises its own error type."""
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_bound_without_an_enumerable_universe_has_no_ud_count(default_digit_limit):
+    report = theorem1_bound((2, 3, 3, 20000), 2, 2, 3)
+    assert (report.ud_count, report.ratio, report.satisfied) == (None, None, None)
 
 
 def test_power_bit_bound_is_sum_times_ceil_log2_n():

@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -488,39 +487,22 @@ def test_classify_all_refusal_leaves_the_file_alone(tmp_path, monkeypatch, lengt
     assert target.read_bytes() == b"keep me"
 
 
-@pytest.fixture
-def int_digit_limit():
-    """main lifts the interpreter's int-to-str digit limit; put it back."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    yield
-    if limit is not None:
-        sys.set_int_max_str_digits(limit)
-
-
 def digits(power):
     """Decimal digit count of 2**power, without rendering it."""
     return math.floor(power * math.log10(2)) + 1
 
 
-def test_decimal_text_matches_str(int_digit_limit):
-    """Large ints are rendered by halves through decimal, digit for digit
-    as str() renders them."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    values = [0, 1, 7, 10**9]
-    limit = cli._STR_BITS
-    for bits in (100, limit - 1, limit, limit + 1, 3 * limit + 5, 200_000):
-        values += [(1 << bits) - 1, 1 << bits, (1 << bits) + 12345, 3**bits]
-    values += [10**k for k in (4931, 4932, 4933, 10_000, 12_345, 60_206)]
-    values += [10**k - 1 for k in (10_000, 60_206)]
-    for value in values:
-        assert cli._decimal_text(value) == str(value)
-        assert cli._decimal_text(-value) == str(-value)
-    assert cli._s(Fraction(-(3**40_000), 2**40_000)) == str(Fraction(-(3**40_000), 2**40_000))
-    assert cli._s(Fraction(10**20_000)) == str(10**20_000)
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_main_puts_back_the_int_digit_limit(default_digit_limit):
+    """main reads and prints numbers of any length, but an in-process caller
+    keeps its own guard afterwards."""
+    limit = sys.get_int_max_str_digits()
+    rc, _payload = run_json("count", "--lengths", "2,3,3", "--alphabet", "2")
+    assert rc == 0
+    assert sys.get_int_max_str_digits() == limit
 
 
-def test_count_reports_a_universe_of_any_size(int_digit_limit):
+def test_count_reports_a_universe_of_any_size(default_digit_limit):
     rc, payload = run_json("count", "--lengths", "20000,1", "--alphabet", "2")
     assert rc == 2
     universe = payload["error"]["universe"]
@@ -528,7 +510,7 @@ def test_count_reports_a_universe_of_any_size(int_digit_limit):
     assert universe.endswith(str(pow(2, 20001, 10**9)).zfill(9))
 
 
-def test_count_formula_prints_counts_of_any_size(int_digit_limit):
+def test_count_formula_prints_counts_of_any_size(default_digit_limit):
     rc, payload = run_json(
         "count", "--lengths", "20000,1", "--alphabet", "2", "--method", "formula"
     )
@@ -634,6 +616,13 @@ def test_pretty_rendering_of_a_list_of_records(tmp_path):
     assert "\n  checks:\n    -\n      profile: 2,3,3\n      n: 2\n" in out
     assert out.count("\n    -\n") == 7
     assert "{" not in out
+
+
+def test_pretty_rendering_of_a_list_of_scalars():
+    argv = ("--pretty", "witness", "--kind", "prefix", "--lengths", "1,2", "--alphabet", "2")
+    rc, out, _err = run(*argv)
+    assert rc == 0
+    assert "\n  words:\n    - 0\n    - 10\n  classification:\n" in out
 
 
 def test_bad_arguments_exit_2():

@@ -60,6 +60,20 @@ def test_enumeration_refuses_large_universe():
     assert exc.value.cap == 10
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: enumerate_codes((20000,), 2), id="enumerate-codes"),
+        pytest.param(
+            lambda: write_classification_csv((20000,), 2, io.StringIO()), id="classification-csv"
+        ),
+    ],
+)
+def test_refusal_renders_a_universe_of_any_length(default_digit_limit, call):
+    with pytest.raises(UniverseTooLarge, match=r"holds \d{6021} codes, above the cap of 1000000$"):
+        call()
+
+
 def test_classify():
     assert classify(code("10", "100", "000")) == Classification(
         injective=True, prefix=False, ud=True, finite_delay=False, delay=None

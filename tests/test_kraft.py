@@ -83,6 +83,11 @@ def test_canonical_infeasible_cites_kraft_sum():
         canonical_prefix_code((1, 1, 2), 2)
 
 
+def test_canonical_infeasible_cites_a_kraft_sum_of_any_length(default_digit_limit):
+    with pytest.raises(ConstructionError, match=r"Kraft sum \d{6021}/\d{6021} exceeds 1$"):
+        canonical_prefix_code((1, 1, 1, 20000), 2)
+
+
 def test_anchored_family_count():
     fam = count_anchored_prefix_codes((2, 3, 3), 2, 2, 3)
     assert fam.count == 10
@@ -186,6 +191,11 @@ def test_infinite_delay_witness_checks_condition_before_kraft():
 def test_infinite_delay_witness_infeasible():
     with pytest.raises(CodesError, match="Kraft sum 11/8"):
         infinite_delay_witness((1, 1, 2, 3), 2)
+
+
+def test_infinite_delay_witness_infeasible_cites_a_kraft_sum_of_any_length(default_digit_limit):
+    with pytest.raises(CodesError, match=r"Kraft sum \d{6021}/\d{6021} exceeds 1$"):
+        infinite_delay_witness((1, 1, 2, 20000), 2)
 
 
 def test_witness_spec_validation():

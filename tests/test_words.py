@@ -1,7 +1,11 @@
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udcodes import words
 from udcodes.words import (
     Alphabet,
     Code,
@@ -13,6 +17,7 @@ from udcodes.words import (
     as_length_sequence,
     as_profile,
     code_to_text,
+    decimal_text,
     parse_code_file,
     parse_word,
 )
@@ -88,6 +93,26 @@ def test_is_prefix():
     assert Word((1, 0)).is_prefix_of(Word((1, 0)))
     assert not Word((0, 1)).is_prefix_of(Word((0, 0, 1)))
     assert Word(()).is_prefix_of(Word((1,)))
+
+
+def test_word_iterates_over_its_letters():
+    assert list(Word((1, 0, 2))) == [1, 0, 2]
+
+
+def test_word_text_refuses_a_letter_with_no_glyph():
+    with pytest.raises(CodesError, match="no glyph form"):
+        Word((0, 36)).text()
+
+
+def test_parse_word_refuses_an_alphabet_past_the_glyphs():
+    with pytest.raises(CodesError, match="exceeds the 36-letter text form"):
+        Code.from_texts(["0"], 37)
+
+
+def test_code_is_a_sized_iterable_of_its_words():
+    c = Code.from_texts(["0", "10"], 2)
+    assert len(c) == 2
+    assert list(c) == [Word((0,)), Word((1, 0))]
 
 
 def test_code_rejects_empty_word():
@@ -222,3 +247,29 @@ def test_code_file_parser_gives_a_code_or_a_code_file_error(text):
         return
     assert isinstance(code, Code)
     assert parse_code_file(code_to_text(code)) == code
+
+
+def test_decimal_text_matches_str(default_digit_limit):
+    """Large ints are rendered by halves through decimal, digit for digit
+    as str() renders them."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # for str(); the fixture puts the limit back
+    values = [0, 1, 7, 10**9]
+    limit = words._STR_BITS
+    for bits in (100, limit - 1, limit, limit + 1, 3 * limit + 5, 200_000):
+        values += [(1 << bits) - 1, 1 << bits, (1 << bits) + 12345, 3**bits]
+    values += [10**k for k in (4931, 4932, 4933, 10_000, 12_345, 60_206)]
+    values += [10**k - 1 for k in (10_000, 60_206)]
+    for value in values:
+        assert decimal_text(value) == str(value)
+        assert decimal_text(-value) == str(-value)
+    ratio = Fraction(-(3**40_000), 2**40_000)
+    assert decimal_text(ratio) == str(ratio)
+    assert decimal_text(Fraction(10**20_000)) == str(10**20_000)
+
+
+@pytest.mark.parametrize("k", (2466, 4300, 4301, 4933, 6000))
+def test_decimal_text_under_the_default_digit_limit(default_digit_limit, k):
+    assert decimal_text(10**k) == "1" + "0" * k
+    assert decimal_text(1 - 10**k) == "-" + "9" * k
+    assert decimal_text(Fraction(1, 10**k)) == "1/1" + "0" * k
