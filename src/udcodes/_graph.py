@@ -1,6 +1,6 @@
 """Tiny graph helpers for the delay analysis, which reads the cycle set of
-an ambiguity graph off them for its infinite-delay witness.  Both answers
-come off one pass of Tarjan's strongly-connected-components algorithm:
+an ambiguity graph off them for its infinite-delay witness.  Each answer
+comes off one pass of Tarjan's strongly-connected-components algorithm:
 linear, and on an explicit stack, since an ambiguity graph can be deeper
 than Python's recursion limit.  The delay probe, the analysis' oracle, finds
 its cycles in its own walk and uses none of this."""
@@ -48,24 +48,19 @@ def _components(adjacency: Mapping[N, Iterable[N]]) -> list[list[N]]:
     return components
 
 
-def _is_cyclic(adjacency: Mapping[N, Iterable[N]], component: list[N]) -> bool:
-    return len(component) > 1 or component[0] in adjacency.get(component[0], ())
-
-
-def order_and_cycles(adjacency: Mapping[N, Iterable[N]]) -> tuple[Optional[list[N]], set[N]]:
-    """(topological_order(adjacency), cyclic_nodes(adjacency)), read off one
-    pass."""
-    components = _components(adjacency)
-    cyclic = {node for c in components if _is_cyclic(adjacency, c) for node in c}
-    order = None if cyclic else [component[0] for component in reversed(components)]
-    return order, cyclic
-
-
 def cyclic_nodes(adjacency: Mapping[N, Iterable[N]]) -> set[N]:
     """Nodes lying on some directed cycle (i.e. reachable from themselves)."""
-    return order_and_cycles(adjacency)[1]
+    return {
+        node
+        for component in _components(adjacency)
+        if len(component) > 1 or component[0] in adjacency.get(component[0], ())
+        for node in component
+    }
 
 
 def topological_order(adjacency: Mapping[N, Iterable[N]]) -> Optional[list[N]]:
     """Every node once, each before its successors; None if there is a cycle."""
-    return order_and_cycles(adjacency)[0]
+    components = _components(adjacency)
+    if any(len(c) > 1 or c[0] in adjacency.get(c[0], ()) for c in components):
+        return None
+    return [component[0] for component in reversed(components)]

@@ -27,6 +27,7 @@ from .words import (
     ProfileLike,
     as_length_sequence,
     as_profile,
+    decimal_str,
     decimal_text,
 )
 
@@ -41,7 +42,7 @@ class CodeCounts(NamedTuple):
 def count_pr_pair(a: int, b: int, n: int) -> int:
     """Number of two-word prefix codes with lengths (a, b): n^(a+b) - n^max(a,b)."""
     if a < 1 or b < 1:
-        raise CodesError(f"lengths must be >= 1, got a={a}, b={b}")
+        raise CodesError(f"lengths must be >= 1, got a={decimal_str(a)}, b={decimal_str(b)}")
     Alphabet(n)
     return n ** (a + b) - n ** max(a, b)
 
@@ -69,11 +70,11 @@ def count_all_a_then_b(n: int, m: int, a: int, b: int) -> CodeCounts:
     factorial and so both counts are zero."""
     Alphabet(n)
     if m < 2:
-        raise CodesError(f"need at least two words, got m={m}")
+        raise CodesError(f"need at least two words, got m={decimal_str(m)}")
     if b % a != 0:
         raise CodesError(
             f"the closed form requires the short length to divide the long "
-            f"one; {a} does not divide {b}"
+            f"one; {decimal_str(a)} does not divide {decimal_str(b)}"
         )
     falling = math.perm(n**a, m - 1)
     ud = falling * (n**b - (m - 1) ** (b // a))
@@ -305,11 +306,14 @@ def theorem1_bound(
     if p.is_constant:
         raise CodesError("the bound needs two distinct length values; profile is constant")
     if a == b or p.multiplicity(a) == 0 or p.multiplicity(b) == 0:
-        raise CodesError(f"a={a} and b={b} must be two different length values of the profile")
+        raise CodesError(
+            f"a={decimal_str(a)} and b={decimal_str(b)} must be two different length values "
+            f"of the profile"
+        )
     if not is_feasible(p, n):
         raise CodesError(
             f"no uniquely decodable code with these lengths exists at alphabet "
-            f"size {n} (Kraft sum {decimal_text(kraft_sum(p, n))} exceeds 1)"
+            f"size {decimal_text(n)} (Kraft sum {decimal_text(kraft_sum(p, n))} exceeds 1)"
         )
     r_a = p.multiplicity(a)
     r_b = p.multiplicity(b)
@@ -336,8 +340,8 @@ def _require_feasible(p: LengthProfile, n: int) -> None:
     if not is_feasible(p, n):
         raise CodesError(
             f"no uniquely decodable code with these lengths exists at alphabet "
-            f"size {n} (Kraft sum {decimal_text(kraft_sum(p, n))} exceeds 1), so the "
-            f"equality question is vacuous"
+            f"size {decimal_text(n)} (Kraft sum {decimal_text(kraft_sum(p, n))} exceeds 1), "
+            f"so the equality question is vacuous"
         )
 
 

@@ -5,6 +5,9 @@ per-code classifications as CSV.
 Reports are emitted as a single JSON object (sorted keys, so byte-stable for
 identical inputs); every numeric value is rendered as a decimal string so
 arbitrary-precision integers and exact rationals survive any consumer.
+Numbers of any length are read and printed through `words.parse_decimal`
+and `words.decimal_text`, which work under any int-to-str digit limit, so
+the interpreter's limit is left as the caller set it.
 Exit status: 0 ok, 1 verification discrepancy, 2 usage or input error.
 """
 
@@ -113,7 +116,7 @@ def _universe_cap() -> int:
     except ValueError:
         raise CodesError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
     if cap < 1:
-        raise CodesError(f"{ENV_CAP} must be positive, got {cap}")
+        raise CodesError(f"{ENV_CAP} must be positive, got {decimal_text(cap)}")
     return cap
 
 
@@ -351,7 +354,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     cap = _universe_cap()
     suite = _read_suite(args.suite) if args.suite else BUILTIN_SUITE
     if args.alphabet_max < 2:
-        raise CodesError(f"--alphabet-max must be at least 2, got {args.alphabet_max}")
+        raise CodesError(
+            f"--alphabet-max must be at least 2, got {decimal_text(args.alphabet_max)}"
+        )
     if not suite:
         raise CodesError(f"suite file {args.suite!r} holds no length sequence")
     checks: list = []
@@ -489,9 +494,6 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)  # numbers are read and printed in full, however long
     try:
         exit_code = _run(argv)
         sys.stdout.flush()
@@ -500,9 +502,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # is pointed at devnull, so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)  # in-process callers keep their guard
     return exit_code
 
 

@@ -21,7 +21,16 @@ from .census import (
     universe_size,
 )
 from .decide import _IN_NO_CLASS, RawWord, _classes, _letter_width, _packed_pool, classify
-from .words import GLYPHS, Code, CodesError, ProfileLike, Word, as_length_sequence
+from .words import (
+    GLYPHS,
+    Code,
+    CodesError,
+    ProfileLike,
+    Word,
+    as_length_sequence,
+    decimal_repr,
+    decimal_text,
+)
 
 # Length sequences exercised by the verify command; all enumerable at n <= 3.
 BUILTIN_SUITE: tuple[tuple[int, ...], ...] = (
@@ -82,7 +91,9 @@ def write_classification_csv(
     lengths = as_length_sequence(profile)
     _checked_alphabet(lengths, n, cap)
     if n > len(GLYPHS):
-        raise CodesError(f"alphabet of size {n} exceeds the {len(GLYPHS)}-letter text form")
+        raise CodesError(
+            f"alphabet of size {decimal_text(n)} exceeds the {len(GLYPHS)}-letter text form"
+        )
     # tuples, which itertools.product keeps without a copy
     pools = [tuple(_packed_pool(length, n)) for length in lengths]
     texts = {
@@ -176,7 +187,9 @@ def safe_bound(code: Code) -> int:
 def _check_bound(name: str, bound: int, least: int) -> None:
     """Refuse an oracle's bound unless it is an int (not a bool) >= least."""
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < least:
-        raise CodesError(f"{name} bound must be an integer >= {least}, got {bound!r}")
+        raise CodesError(
+            f"{name} bound must be an integer >= {least}, got {decimal_repr(bound)}"
+        )
 
 
 _Search = tuple[Word, tuple[int, ...], tuple[int, ...]]

@@ -28,6 +28,7 @@ from .words import (
     Word,
     as_length_sequence,
     as_profile,
+    decimal_str,
     decimal_text,
 )
 
@@ -248,9 +249,13 @@ def _anchor(length: int) -> Word:
 
 def _check_anchor_args(profile: LengthProfile, a: int, b: int) -> None:
     if a >= b:
-        raise CodesError(f"anchored family needs a < b, got a={a}, b={b}")
+        raise CodesError(
+            f"anchored family needs a < b, got a={decimal_str(a)}, b={decimal_str(b)}"
+        )
     if profile.multiplicity(a) == 0 or profile.multiplicity(b) == 0:
-        raise CodesError(f"both {a} and {b} must be length values of the profile")
+        raise CodesError(
+            f"both {decimal_str(a)} and {decimal_str(b)} must be length values of the profile"
+        )
 
 
 def count_anchored_prefix_codes(profile: ProfileLike, n: int, a: int, b: int) -> AnchoredFamily:
@@ -297,7 +302,8 @@ def anchored_prefix_code(
     if zero_word_length is not None:
         if profile.multiplicity(zero_word_length) == 0 or zero_word_length < b:
             raise CodesError(
-                f"zero_word_length must be a length value >= {b}, got {zero_word_length}"
+                f"zero_word_length must be a length value >= {decimal_str(b)}, "
+                f"got {decimal_str(zero_word_length)}"
             )
     forced = {a: [1], b: [1]}  # 1 is the numeral of 0^(v-1) 1
     if zero_word_length is not None:
@@ -348,7 +354,9 @@ class InfiniteDelayWitnessSpec(_WitnessCase):
         if case not in ("rb-many", "three-values", "two-values"):
             raise CodesError(f"unknown witness case {case!r}")
         if not 0 < a < b:
-            raise CodesError(f"witness needs 0 < a < b, got a={a}, b={b}")
+            raise CodesError(
+                f"witness needs 0 < a < b, got a={decimal_str(a)}, b={decimal_str(b)}"
+            )
         if case == "two-values":
             if remainder is None or not 0 < remainder < a:
                 raise CodesError("two-values witness needs 0 < remainder < a")

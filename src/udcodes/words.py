@@ -83,7 +83,7 @@ class Alphabet(_Frozen):
 
     def __init__(self, size: int) -> None:
         if not isinstance(size, int) or isinstance(size, bool) or size < 2:
-            raise CodesError(f"alphabet size must be an integer >= 2, got {size!r}")
+            raise CodesError(f"alphabet size must be an integer >= 2, got {decimal_repr(size)}")
         object.__setattr__(self, "size", size)
 
 
@@ -102,7 +102,9 @@ class Word(_Frozen):
         symbols = tuple(symbols)
         for s in symbols:
             if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-                raise CodesError(f"word symbols must be non-negative integers, got {s!r}")
+                raise CodesError(
+                    f"word symbols must be non-negative integers, got {decimal_repr(s)}"
+                )
         object.__setattr__(self, "symbols", symbols)
 
     def _fields(self) -> tuple:
@@ -140,7 +142,9 @@ class Word(_Frozen):
         try:
             return "".join(GLYPHS[s] for s in self.symbols)
         except IndexError:
-            raise CodesError(f"word {self.symbols!r} has letters with no glyph form") from None
+            raise CodesError(
+                f"word {decimal_repr(self.symbols)} has letters with no glyph form"
+            ) from None
 
     def __repr__(self) -> str:
         if all(s < len(GLYPHS) for s in self.symbols):
@@ -155,20 +159,20 @@ class Code(_Frozen):
 
     def __init__(self, alphabet: Alphabet, words: Sequence[Word]) -> None:
         if not isinstance(alphabet, Alphabet):
-            raise CodesError(f"code alphabet is not an Alphabet: {alphabet!r}")
+            raise CodesError(f"code alphabet is not an Alphabet: {decimal_repr(alphabet)}")
         words = tuple(words)
         if len(words) == 0:
             raise CodesError("a code needs at least one word")
         for pos, w in enumerate(words):
             if not isinstance(w, Word):
-                raise CodesError(f"code word at position {pos} is not a Word: {w!r}")
+                raise CodesError(f"code word at position {pos} is not a Word: {decimal_repr(w)}")
             if len(w) == 0:
                 raise CodesError(f"code word at position {pos} is empty")
             for s in w.symbols:
                 if s >= alphabet.size:
                     raise CodesError(
-                        f"code word at position {pos} uses letter {s}, "
-                        f"but the alphabet has size {alphabet.size}"
+                        f"code word at position {pos} uses letter {decimal_text(s)}, "
+                        f"but the alphabet has size {decimal_text(alphabet.size)}"
                     )
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "words", words)
@@ -212,12 +216,16 @@ class LengthProfile(_Frozen):
             raise CodesError("values and multiplicities differ in length")
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise CodesError(f"length values must be positive integers, got {v!r}")
+                raise CodesError(f"length values must be positive integers, got {decimal_repr(v)}")
         for r in multiplicities:
             if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-                raise CodesError(f"multiplicities must be positive integers, got {r!r}")
+                raise CodesError(
+                    f"multiplicities must be positive integers, got {decimal_repr(r)}"
+                )
         if any(a >= b for a, b in zip(values, values[1:])):
-            raise CodesError(f"length values must be strictly increasing, got {values}")
+            raise CodesError(
+                f"length values must be strictly increasing, got {decimal_repr(values)}"
+            )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "multiplicities", multiplicities)
 
@@ -275,7 +283,8 @@ def as_length_sequence(profile: ProfileLike) -> tuple[int, ...]:
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     if alphabet.size > len(GLYPHS):
         raise CodesError(
-            f"alphabet of size {alphabet.size} exceeds the {len(GLYPHS)}-letter text form"
+            f"alphabet of size {decimal_text(alphabet.size)} exceeds the "
+            f"{len(GLYPHS)}-letter text form"
         )
     symbols = []
     for pos, ch in enumerate(text):
@@ -286,7 +295,8 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             )
         if idx >= alphabet.size:
             raise WordParseError(
-                f"letter {ch!r} at position {pos} is outside the alphabet of size {alphabet.size}",
+                f"letter {ch!r} at position {pos} is outside the alphabet of size "
+                f"{decimal_text(alphabet.size)}",
                 position=pos,
                 char=ch,
             )
@@ -294,9 +304,14 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word(tuple(symbols))
 
 
-def _decimal_digits(text: str) -> tuple[bool, str]:
-    """(negative, digits) of an int written in ASCII decimal digits after an
-    optional minus sign; the digits lose their leading zeros ("0" for zero).
+# int() reads at most this many digits at once: fewer than 640, the least
+# int-to-str digit limit Python accepts, so no limit refuses it.
+_INT_DIGITS = 600
+
+
+def parse_decimal(text: str) -> int:
+    """The int that `text` writes in ASCII decimal digits after an optional
+    minus sign, of any length and under any int-to-str digit limit.
 
     int() would also take '1_0', '+3', blanks around the number and
     non-ASCII digits (say Arabic-Indic '\u0663' or fullwidth '\uff12'); each
@@ -306,19 +321,20 @@ def _decimal_digits(text: str) -> tuple[bool, str]:
     digits = text[negative:]
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{text!r} is not a decimal number")
-    return negative, digits.lstrip("0") or "0"
 
+    def value(part: str) -> int:
+        if len(part) <= _INT_DIGITS:
+            return int(part)
+        low = len(part) // 2
+        return value(part[:-low]) * 10**low + value(part[-low:])
 
-def parse_decimal(text: str) -> int:
-    """The int that `text` writes under the rule of _decimal_digits."""
-    negative, digits = _decimal_digits(text)
-    return -int(digits) if negative else int(digits)
+    return -value(digits) if negative else value(digits)
 
 
 # Ints up to this many bits are rendered by str().  It is quadratic in the
-# length and, by default, refuses more than 4,300 digits (2^13 bits are
-# 2,467 digits), so longer ones are split in halves and rebuilt as a Decimal.
-_STR_BITS = 2**13
+# length and may refuse as few as 640 digits (2^11 bits are 617 digits), so
+# longer ones are split in halves and rebuilt as a Decimal.
+_STR_BITS = 2**11
 
 
 def decimal_text(value: int | Fraction) -> str:
@@ -358,6 +374,23 @@ def decimal_text(value: int | Fraction) -> str:
     return "-" + text if value < 0 else text
 
 
+def decimal_str(value: object) -> str:
+    """str(value), with an int or a Fraction rendered by decimal_text: a
+    message shows a number of any length under any digit limit."""
+    return decimal_text(value) if isinstance(value, (int, Fraction)) else str(value)
+
+
+def decimal_repr(value: object) -> str:
+    """repr(value), with an int, or each int of a tuple, rendered by
+    decimal_text."""
+    if type(value) is int:
+        return decimal_text(value)
+    if type(value) is tuple:
+        items = [decimal_repr(item) for item in value]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    return repr(value)
+
+
 def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
 
@@ -377,21 +410,18 @@ def parse_code_file(text: str) -> Code:
         raise CodeFileError(f"line 1 must be 'alphabet <n>', got {lines[0]!r}", line=1)
     size = parts[1]
     try:
-        negative, digits = _decimal_digits(size)
+        n = parse_decimal(size)
     except ValueError:
         raise CodeFileError(
             f"line 1: alphabet size {size!r} is not a decimal number", line=1
         ) from None
-    if negative and digits != "0":
-        raise CodeFileError(f"line 1: alphabet size must be >= 2, got -{digits}", line=1)
-    # lengths first: int() refuses a size of thousands of digits
-    if len(digits) > len(str(len(GLYPHS))) or int(digits) > len(GLYPHS):
+    if n > len(GLYPHS):
         raise CodeFileError(
-            f"line 1: alphabet size {digits} exceeds the {len(GLYPHS)}-letter text form", line=1
+            f"line 1: alphabet size {decimal_text(n)} exceeds the {len(GLYPHS)}-letter text form",
+            line=1,
         )
-    n = int(digits)
     if n < 2:
-        raise CodeFileError(f"line 1: alphabet size must be >= 2, got {n}", line=1)
+        raise CodeFileError(f"line 1: alphabet size must be >= 2, got {decimal_text(n)}", line=1)
     alphabet = Alphabet(n)
     words = []
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -412,6 +442,6 @@ def parse_code_file(text: str) -> Code:
 
 def code_to_text(code: Code) -> str:
     """Serialize in the code file format (no trailing whitespace)."""
-    lines = [f"alphabet {code.alphabet.size}"]
+    lines = [f"alphabet {decimal_text(code.alphabet.size)}"]
     lines.extend(w.text() for w in code.words)
     return "\n".join(lines)

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import importlib
 import io
 import itertools
@@ -500,6 +501,147 @@ def test_main_puts_back_the_int_digit_limit(default_digit_limit):
     rc, _payload = run_json("count", "--lengths", "2,3,3", "--alphabet", "2")
     assert rc == 0
     assert sys.get_int_max_str_digits() == limit
+
+
+HUGE = "1" + "0" * 5000  # over 4,300 digits, Python's default int-to-str limit
+MINUS_HUGE = "-" + HUGE
+
+# (CODES_UNIVERSE_CAP, argv, exit status, SHA-256 of stdout); the digests
+# were recorded by a CLI that lifted the interpreter's digit limit
+HUGE_NUMBER_RUNS = [
+    (
+        None,
+        ["witness", "--kind", "prefix", "--lengths", "1", "--alphabet", HUGE],
+        0,
+        "8a438231a6951ddc298414e92277029d9992171815d9bdb4df13fb24be24b6f3",
+    ),
+    (
+        None,
+        ["witness", "--kind", "ud-nonprefix", "--lengths", "1,2", "--alphabet", HUGE],
+        0,
+        "a13d1bb321edd65678435168aa07369d75ca31fc99991837fe1e52631da246c2",
+    ),
+    (
+        None,
+        ["witness", "--kind", "infinite-delay", "--lengths", "1,2,2", "--alphabet", HUGE],
+        0,
+        "ff0c87c4f98b447ec54cfd8874df429115e18fe613c586d27ded78ddde63d2e1",
+    ),
+    (
+        None,
+        ["witness", "--kind", "prefix", "--lengths", HUGE, "--alphabet", "2"],
+        2,
+        "6cdafb8baa03491914eeac1f47e4df77fbc35daa5808cee741b69dce24ef9aea",
+    ),
+    (
+        None,
+        ["count", "--lengths", "1", "--alphabet", HUGE],
+        2,
+        "ca7c86e21ad0f9c135d0a5f03b6216e6c289c326eda738b9efb8d8f40c795d93",
+    ),
+    (
+        None,
+        ["count", "--lengths", "1,2", "--alphabet", HUGE, "--method", "formula"]
+        + ["--anchored", "1,2"],
+        0,
+        "1f3c425f9a11e2e3ffe8e16974e35ed808b83b5d2e07be3b0fb69ab18aff3797",
+    ),
+    (
+        None,
+        ["count", "--lengths", "1,2", "--alphabet", "2", "--anchored", "1," + HUGE],
+        2,
+        "f595bf419d6579ee57a2b587e86197c47784eef5a90841c6be12def962a6b105",
+    ),
+    (
+        None,
+        ["count", "--lengths", "1,2", "--alphabet", "2", "--anchored", HUGE + ",1"],
+        2,
+        "4c36e50e9fc02b1d6da7757e536387e95353e5f6f7ae758b0313fe5f01b28cb1",
+    ),
+    (
+        None,
+        ["count", "--lengths", HUGE + ",1", "--alphabet", "2"],
+        2,
+        "b7e8db5ef793827b10040a06602f835598305fb18336db817b75edff399759a2",
+    ),
+    (
+        None,
+        ["verify", "--alphabet-max", MINUS_HUGE],
+        2,
+        "b2eaf4804f858f560627024f43d242cbbf9656a757405b1da5481117132decd8",
+    ),
+    (
+        "100",
+        ["verify", "--suite", "suite.txt", "--alphabet-max", HUGE],
+        0,
+        "e4b451801222b4c6bfdae705d5cea7ba57321ad00c1ba2b8a7afd103848e70be",
+    ),
+    (
+        None,
+        ["verify", "--suite", "huge-suite.txt"],
+        2,
+        "a30d87d2c52c29055f21a3a48776e283d80d3e943edfbca21aaefc55c24c94ae",
+    ),
+    (
+        None,
+        ["classify-all", "--lengths", "1", "--alphabet", HUGE],
+        2,
+        "f950d47e55ce12331848ef1a46c30da14f0ee71fa47ae28629d7d36a9fc45796",
+    ),
+    (
+        HUGE,
+        ["classify-all", "--lengths", "1", "--alphabet", HUGE],
+        2,
+        "1e17d2ba314c17533eb2464094f14a41304680cdb6262fa7c9008840f9cfe076",
+    ),
+    (
+        MINUS_HUGE,
+        ["count", "--lengths", "1", "--alphabet", "2"],
+        2,
+        "72e5204e69161c60ed09610be76958dd7396316b43648ac48ee9dd9b37d9ce20",
+    ),
+    (
+        HUGE,
+        ["count", "--lengths", "20000,1", "--alphabet", "2"],
+        2,
+        "b51570fc1a17ff27171ec126f8e8a1e4ffb24539076b29bed62bcfa3427f60ca",
+    ),
+    (
+        None,
+        ["check", "huge-alphabet.txt"],
+        2,
+        "50450cbd21a31e52660237abeebbada66ed2a26c27aeace47265d9490fa224de",
+    ),
+    (
+        None,
+        ["check", "negative-alphabet.txt"],
+        2,
+        "152380156aafea051ccca5808aaa31524b498ec78ddc7aecd2f5551f07aea45f",
+    ),
+]
+
+
+def test_every_command_takes_numbers_of_any_length(default_digit_limit, monkeypatch, tmp_path):
+    """Under Python's default digit limit, which main leaves alone, every
+    command reads a number of over 4,300 digits in each numeric input and
+    prints its report byte for byte."""
+    monkeypatch.chdir(tmp_path)  # the reports echo these relative paths
+    (tmp_path / "suite.txt").write_text("1,2\n")
+    (tmp_path / "huge-suite.txt").write_text(HUGE + "\n")
+    (tmp_path / "huge-alphabet.txt").write_text(f"alphabet {HUGE}\n0\n")
+    (tmp_path / "negative-alphabet.txt").write_text(f"alphabet {MINUS_HUGE}\n0\n")
+    limits = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits", limits.append, raising=False)
+    outcomes = []
+    for cap, argv, _rc, _digest in HUGE_NUMBER_RUNS:
+        if cap is None:
+            monkeypatch.delenv("CODES_UNIVERSE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("CODES_UNIVERSE_CAP", cap)
+        rc, out, _err = run(*argv)
+        outcomes.append((rc, hashlib.sha256(out.encode()).hexdigest()))
+    assert outcomes == [(rc, digest) for _cap, _argv, rc, digest in HUGE_NUMBER_RUNS]
+    assert limits == []
 
 
 def test_count_reports_a_universe_of_any_size(default_digit_limit):

@@ -1,14 +1,15 @@
 """The graph helpers against a brute-force transitive closure.
 
-The decider and the bounded delay probe both read cycles and orders from
-these helpers, so the oracle cross-checks cannot catch a fault in them; this
-module checks them directly.
+The delay analysis reads the cycle set of an ambiguity graph from
+`cyclic_nodes` to build its infinite-delay witness; the bounded delay probe
+finds its cycles in its own walk and uses neither helper.  This module
+checks both helpers directly.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udcodes._graph import cyclic_nodes, order_and_cycles, topological_order
+from udcodes._graph import cyclic_nodes, topological_order
 
 # keys are drawn from the same 8 labels as the targets, so graphs have
 # self-loops, and nodes that appear only as edge targets
@@ -39,7 +40,6 @@ def test_graph_helpers_match_transitive_closure(adjacency):
     assert cyclic_nodes(adjacency) == cyclic
     order = topological_order(adjacency)
     assert (order is None) == bool(cyclic)
-    assert order_and_cycles(adjacency) == (order, cyclic)
     if order is not None:
         assert sorted(order) == sorted(nodes)
         position = {node: k for k, node in enumerate(order)}

@@ -1,6 +1,6 @@
 """Value semantics of the package's word types and result records: repr,
 hash, equality, ordering, refused assignment, pickling and copying, and the
-messages of refused constructions.
+messages of refused constructions, which show numbers of any length.
 
 The word types (Alphabet, Word, Code, LengthProfile) are plain immutable
 classes; the result records are NamedTuples.  Every type hashes as the tuple
@@ -20,15 +20,20 @@ from udcodes import (
     LengthProfile,
     Word,
     ambiguity_graph,
+    anchored_prefix_code,
     bounded_delay_probe,
     census,
     classify,
+    count_all_a_then_b,
     count_anchored_prefix_codes,
+    count_pr_pair,
     count_prefix_codes,
     delay_analysis,
     infinite_delay_witness,
+    parse_word,
     sardinas_patterson,
     theorem1_bound,
+    two_factorization_search,
 )
 from udcodes.decide import AmbState
 
@@ -256,6 +261,109 @@ def test_word_ordering_by_symbols():
     ),
 )
 def test_refused_construction_messages(build, message):
+    with pytest.raises(CodesError) as info:
+        build()
+    assert str(info.value) == message
+
+
+HUGE = 10**5000
+HUGE_TEXT = "1" + "0" * 5000  # HUGE written out, with no int-to-str conversion
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    (
+        pytest.param(
+            lambda: count_pr_pair(0, HUGE, 2),
+            f"lengths must be >= 1, got a=0, b={HUGE_TEXT}",
+            id="count_pr_pair",
+        ),
+        pytest.param(
+            lambda: count_all_a_then_b(2, 2, 3, HUGE + 1),
+            "the closed form requires the short length to divide the long one; "
+            f"3 does not divide {HUGE_TEXT[:-1]}1",
+            id="count_all_a_then_b-b",
+        ),
+        pytest.param(
+            lambda: count_all_a_then_b(2, -HUGE, 1, 2),
+            f"need at least two words, got m=-{HUGE_TEXT}",
+            id="count_all_a_then_b-m",
+        ),
+        pytest.param(
+            lambda: theorem1_bound((1, 2), 2, 1, HUGE),
+            f"a=1 and b={HUGE_TEXT} must be two different length values of the profile",
+            id="theorem1_bound",
+        ),
+        pytest.param(
+            lambda: anchored_prefix_code((1, 2), 2, HUGE, 1),
+            f"anchored family needs a < b, got a={HUGE_TEXT}, b=1",
+            id="anchored_prefix_code-a",
+        ),
+        pytest.param(
+            lambda: anchored_prefix_code((1, 2), 2, 1, 2, HUGE),
+            f"zero_word_length must be a length value >= 2, got {HUGE_TEXT}",
+            id="anchored_prefix_code-zero_word_length",
+        ),
+        pytest.param(
+            lambda: count_anchored_prefix_codes((1, 2), 2, 1, HUGE),
+            f"both 1 and {HUGE_TEXT} must be length values of the profile",
+            id="count_anchored_prefix_codes",
+        ),
+        pytest.param(
+            lambda: InfiniteDelayWitnessSpec("rb-many", HUGE, 1, None, None),
+            f"witness needs 0 < a < b, got a={HUGE_TEXT}, b=1",
+            id="InfiniteDelayWitnessSpec",
+        ),
+        pytest.param(
+            lambda: Alphabet(-HUGE),
+            f"alphabet size must be an integer >= 2, got -{HUGE_TEXT}",
+            id="Alphabet",
+        ),
+        pytest.param(
+            lambda: Word((-HUGE,)),
+            f"word symbols must be non-negative integers, got -{HUGE_TEXT}",
+            id="Word",
+        ),
+        pytest.param(
+            lambda: Code(Alphabet(2), (Word((HUGE,)),)),
+            f"code word at position 0 uses letter {HUGE_TEXT}, but the alphabet has size 2",
+            id="Code",
+        ),
+        pytest.param(
+            lambda: LengthProfile((-HUGE,), (1,)),
+            f"length values must be positive integers, got -{HUGE_TEXT}",
+            id="LengthProfile-value",
+        ),
+        pytest.param(
+            lambda: LengthProfile((1,), (-HUGE,)),
+            f"multiplicities must be positive integers, got -{HUGE_TEXT}",
+            id="LengthProfile-multiplicity",
+        ),
+        pytest.param(
+            lambda: LengthProfile((HUGE, 1), (1, 1)),
+            f"length values must be strictly increasing, got ({HUGE_TEXT}, 1)",
+            id="LengthProfile-order",
+        ),
+        pytest.param(
+            lambda: parse_word("z", Alphabet(HUGE)),
+            f"alphabet of size {HUGE_TEXT} exceeds the 36-letter text form",
+            id="parse_word",
+        ),
+        pytest.param(
+            lambda: bounded_delay_probe(CODE, -HUGE),
+            f"delay bound must be an integer >= 0, got -{HUGE_TEXT}",
+            id="bounded_delay_probe",
+        ),
+        pytest.param(
+            lambda: two_factorization_search(CODE, -HUGE),
+            f"length bound must be an integer >= 1, got -{HUGE_TEXT}",
+            id="two_factorization_search",
+        ),
+    ),
+)
+def test_refusals_show_the_callers_numbers_of_any_length(default_digit_limit, build, message):
+    """Under Python's default int-to-str digit limit, a refusal that shows a
+    number the caller gave raises CodesError and shows the number in full."""
     with pytest.raises(CodesError) as info:
         build()
     assert str(info.value) == message

@@ -19,6 +19,7 @@ from udcodes.words import (
     code_to_text,
     decimal_text,
     parse_code_file,
+    parse_decimal,
     parse_word,
 )
 
@@ -273,3 +274,22 @@ def test_decimal_text_under_the_default_digit_limit(default_digit_limit, k):
     assert decimal_text(10**k) == "1" + "0" * k
     assert decimal_text(1 - 10**k) == "-" + "9" * k
     assert decimal_text(Fraction(1, 10**k)) == "1/1" + "0" * k
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_numbers_convert_under_the_least_digit_limit(default_digit_limit):
+    """decimal_text and parse_decimal work under 640 digits, the least limit
+    Python accepts (the fixture puts the limit back), on both sides of
+    parse_decimal's 600-digit chunks and of decimal_text's 617-digit leaves."""
+    sys.set_int_max_str_digits(640)
+    for k in (599, 600, 601, 617, 640, 1000, 1201, 2467, 5000):
+        texts = {
+            10**k: "1" + "0" * k,
+            10**k - 1: "9" * k,
+            10**k + 12345: "1" + "0" * (k - 5) + "12345",
+        }
+        for value, text in texts.items():
+            assert decimal_text(value) == text
+            assert decimal_text(-value) == "-" + text
+            assert parse_decimal(text) == value
+            assert parse_decimal("-00" + text) == -value
