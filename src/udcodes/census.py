@@ -14,10 +14,11 @@ from typing import NamedTuple, Optional
 
 from .decide import RawWord, _classes, _letter_width, _pack, _packed_pool
 from .kraft import (
-    check_power_bits,
+    _is_length_value,
+    _length_sum,
+    _one_long_multiple,
     count_prefix_codes,
     fd_matches_ud_condition,
-    is_feasible,
     kraft_sum,
 )
 from .words import (
@@ -25,7 +26,7 @@ from .words import (
     CodesError,
     LengthProfile,
     ProfileLike,
-    as_length_sequence,
+    _int_at_least,
     as_profile,
     decimal_str,
     decimal_text,
@@ -39,10 +40,17 @@ class CodeCounts(NamedTuple):
     pr: int
 
 
-def count_pr_pair(a: int, b: int, n: int) -> int:
-    """Number of two-word prefix codes with lengths (a, b): n^(a+b) - n^max(a,b)."""
+def _check_lengths(a: int, b: int) -> None:
+    """Refuse the lengths a and b unless both are ints, not bools, >= 1."""
     if a < 1 or b < 1:
         raise CodesError(f"lengths must be >= 1, got a={decimal_str(a)}, b={decimal_str(b)}")
+    if not (_int_at_least(a, 1) and _int_at_least(b, 1)):
+        raise CodesError(f"lengths must be integers, got a={decimal_str(a)}, b={decimal_str(b)}")
+
+
+def count_pr_pair(a: int, b: int, n: int) -> int:
+    """Number of two-word prefix codes with lengths (a, b): n^(a+b) - n^max(a,b)."""
+    _check_lengths(a, b)
     Alphabet(n)
     return n ** (a + b) - n ** max(a, b)
 
@@ -71,6 +79,9 @@ def count_all_a_then_b(n: int, m: int, a: int, b: int) -> CodeCounts:
     Alphabet(n)
     if m < 2:
         raise CodesError(f"need at least two words, got m={decimal_str(m)}")
+    if not _int_at_least(m, 2):
+        raise CodesError(f"the number of words must be an integer, got m={decimal_str(m)}")
+    _check_lengths(a, b)
     if b % a != 0:
         raise CodesError(
             f"the closed form requires the short length to divide the long "
@@ -95,11 +106,7 @@ def closed_form_counts(profile: ProfileLike, n: int) -> Optional[CodeCounts]:
         return CodeCounts(pr, pr)
     if p.values == (2, 3) and p.multiplicities == (1, 2):
         return count_233(n)
-    if (
-        len(p.values) == 2
-        and p.multiplicities[1] == 1
-        and p.values[1] % p.values[0] == 0
-    ):
+    if _one_long_multiple(p):
         return count_all_a_then_b(n, p.total, p.values[0], p.values[1])
     return None
 
@@ -117,8 +124,7 @@ class UniverseTooLarge(CodesError):
 def universe_size(profile: ProfileLike, n: int) -> int:
     """Number of ordered word sequences with the given lengths; refused
     (CodesError) when it may need more than MAX_POWER_BITS bits."""
-    check_power_bits(profile, n)
-    return n ** sum(as_length_sequence(profile))
+    return n ** _length_sum(as_profile(profile), n)
 
 
 def _checked_alphabet(lengths: tuple[int, ...], n: int, cap: int) -> Alphabet:
@@ -151,7 +157,7 @@ class CensusReport(NamedTuple):
 
 def _formula_counts(p: LengthProfile, n: int) -> tuple[int, Optional[int], Optional[int]]:
     pr = count_prefix_codes(p, n).count
-    if not is_feasible(p, n):
+    if pr == 0:  # no prefix code, so by Kraft no UD code either
         return 0, 0, 0
     closed = closed_form_counts(p, n)
     ud = closed.ud if closed is not None else None
@@ -305,16 +311,12 @@ def theorem1_bound(
     p = as_profile(profile)
     if p.is_constant:
         raise CodesError("the bound needs two distinct length values; profile is constant")
-    if a == b or p.multiplicity(a) == 0 or p.multiplicity(b) == 0:
+    if a == b or not (_is_length_value(p, a) and _is_length_value(p, b)):
         raise CodesError(
             f"a={decimal_str(a)} and b={decimal_str(b)} must be two different length values "
             f"of the profile"
         )
-    if not is_feasible(p, n):
-        raise CodesError(
-            f"no uniquely decodable code with these lengths exists at alphabet "
-            f"size {decimal_text(n)} (Kraft sum {decimal_text(kraft_sum(p, n))} exceeds 1)"
-        )
+    _require_feasible(p, n)
     r_a = p.multiplicity(a)
     r_b = p.multiplicity(b)
     lower = 1 + Fraction(r_a * r_b, count_pr_pair(a, b, n))
@@ -336,13 +338,16 @@ def theorem1_bound(
     return BoundReport(p, n, a, b, lower, pr, ud, ratio, satisfied)
 
 
-def _require_feasible(p: LengthProfile, n: int) -> None:
-    if not is_feasible(p, n):
+def _require_feasible(p: LengthProfile, n: int, consequence: str = "") -> None:
+    s = kraft_sum(p, n)
+    if s > 1:
         raise CodesError(
             f"no uniquely decodable code with these lengths exists at alphabet "
-            f"size {decimal_text(n)} (Kraft sum {decimal_text(kraft_sum(p, n))} exceeds 1), "
-            f"so the equality question is vacuous"
+            f"size {decimal_text(n)} (Kraft sum {decimal_text(s)} exceeds 1){consequence}"
         )
+
+
+_VACUOUS = ", so the equality question is vacuous"
 
 
 def is_pr_eq_ud(profile: ProfileLike, n: int) -> bool:
@@ -351,7 +356,7 @@ def is_pr_eq_ud(profile: ProfileLike, n: int) -> bool:
     depend on n, but feasibility at n is required for the question to be
     about a non-empty class."""
     p = as_profile(profile)
-    _require_feasible(p, n)
+    _require_feasible(p, n, _VACUOUS)
     return p.is_constant
 
 
@@ -359,5 +364,5 @@ def is_fd_eq_ud(profile: ProfileLike, n: int) -> bool:
     """True iff every uniquely decodable code with these lengths has finite
     delay; see fd_matches_ud_condition for the structural criterion."""
     p = as_profile(profile)
-    _require_feasible(p, n)
+    _require_feasible(p, n, _VACUOUS)
     return fd_matches_ud_condition(p)

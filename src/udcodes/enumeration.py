@@ -27,6 +27,7 @@ from .words import (
     CodesError,
     ProfileLike,
     Word,
+    _int_at_least,
     as_length_sequence,
     decimal_repr,
     decimal_text,
@@ -186,7 +187,7 @@ def safe_bound(code: Code) -> int:
 
 def _check_bound(name: str, bound: int, least: int) -> None:
     """Refuse an oracle's bound unless it is an int (not a bool) >= least."""
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < least:
+    if not _int_at_least(bound, least):
         raise CodesError(
             f"{name} bound must be an integer >= {least}, got {decimal_repr(bound)}"
         )

@@ -26,7 +26,7 @@ from .words import (
     LengthProfile,
     ProfileLike,
     Word,
-    as_length_sequence,
+    _int_at_least,
     as_profile,
     decimal_str,
     decimal_text,
@@ -51,7 +51,11 @@ def check_power_bits(profile: ProfileLike, n: int) -> None:
     """Refuse a profile whose n^(sum of lengths) may need more than
     MAX_POWER_BITS bits, that is, whose sum of lengths times ceil(log2 n)
     exceeds it, before any power is built."""
-    p = as_profile(profile)
+    _length_sum(as_profile(profile), n)
+
+
+def _length_sum(p: LengthProfile, n: int) -> int:
+    """The sum of the profile's lengths, after check_power_bits's refusal."""
     total = sum(v * r for v, r in zip(p.values, p.multiplicities))
     if total * (n - 1).bit_length() > MAX_POWER_BITS:
         total_text, n_text = decimal_text(total), decimal_text(n)
@@ -59,6 +63,7 @@ def check_power_bits(profile: ProfileLike, n: int) -> None:
             f"lengths summing to {total_text} are refused at alphabet size {n_text}: "
             f"{n_text}^{total_text} may need more than {MAX_POWER_BITS} bits"
         )
+    return total
 
 
 def kraft_sum(profile: ProfileLike, n: int) -> Fraction:
@@ -207,6 +212,16 @@ def _staged_prefix_code(
     return _arrange(raw, words_at, n)
 
 
+def _lengths_and_profile(lengths: ProfileLike, n: int) -> tuple[tuple[int, ...], LengthProfile]:
+    """Check the alphabet, then return the raw length order (a profile
+    expands sorted) with its profile."""
+    Alphabet(n)
+    if isinstance(lengths, LengthProfile):
+        return lengths.lengths, lengths
+    raw = tuple(lengths)
+    return raw, LengthProfile.from_lengths(raw)
+
+
 def canonical_prefix_code(lengths: ProfileLike, n: int) -> Code:
     """The lexicographically smallest prefix code with the given lengths.
 
@@ -214,9 +229,7 @@ def canonical_prefix_code(lengths: ProfileLike, n: int) -> Code:
     shadowed by shorter ones; positions sharing a length are filled in
     ascending order.
     """
-    Alphabet(n)
-    raw = as_length_sequence(lengths)
-    return _staged_prefix_code(raw, LengthProfile.from_lengths(raw), n, {})
+    return _staged_prefix_code(*_lengths_and_profile(lengths, n), n, {})
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +260,17 @@ def _anchor(length: int) -> Word:
     return Word((0,) * (length - 1) + (1,))
 
 
+def _is_length_value(profile: LengthProfile, x: object) -> bool:
+    """True iff x is an int, not a bool, held by some word of the profile."""
+    return _int_at_least(x, 1) and profile.multiplicity(x) > 0
+
+
 def _check_anchor_args(profile: LengthProfile, a: int, b: int) -> None:
     if a >= b:
         raise CodesError(
             f"anchored family needs a < b, got a={decimal_str(a)}, b={decimal_str(b)}"
         )
-    if profile.multiplicity(a) == 0 or profile.multiplicity(b) == 0:
+    if not (_is_length_value(profile, a) and _is_length_value(profile, b)):
         raise CodesError(
             f"both {decimal_str(a)} and {decimal_str(b)} must be length values of the profile"
         )
@@ -295,12 +313,10 @@ def anchored_prefix_code(
     the earliest slots of their length (anchor first, then the forced zero
     word), extras follow in ascending order.
     """
-    Alphabet(n)
-    raw = as_length_sequence(lengths)
-    profile = LengthProfile.from_lengths(raw)
+    raw, profile = _lengths_and_profile(lengths, n)
     _check_anchor_args(profile, a, b)
     if zero_word_length is not None:
-        if profile.multiplicity(zero_word_length) == 0 or zero_word_length < b:
+        if not _is_length_value(profile, zero_word_length) or zero_word_length < b:
             raise CodesError(
                 f"zero_word_length must be a length value >= {decimal_str(b)}, "
                 f"got {decimal_str(zero_word_length)}"
@@ -318,9 +334,7 @@ def ud_nonprefix_witness(lengths: ProfileLike, n: int) -> Code:
     smallest length values; reversal preserves unique decodability, and the
     reversed anchors make the short word a prefix of the longer one.
     """
-    Alphabet(n)
-    raw = as_length_sequence(lengths)
-    profile = LengthProfile.from_lengths(raw)
+    raw, profile = _lengths_and_profile(lengths, n)
     if profile.is_constant:
         raise CodesError(
             "all lengths are equal: every uniquely decodable code with a "
@@ -374,21 +388,19 @@ class InfiniteDelayWitnessSpec(_WitnessCase):
         return cls(*iterable)
 
 
+def _one_long_multiple(p: LengthProfile) -> bool:
+    """Two length values, the longer held by one word and a multiple of the
+    shorter."""
+    return len(p.values) == 2 and p.multiplicities[1] == 1 and p.values[1] % p.values[0] == 0
+
+
 def fd_matches_ud_condition(profile: ProfileLike) -> bool:
     """The alphabet-independent condition under which finite-delay codes
     exhaust the uniquely decodable ones: at most two words, all lengths
     equal, or all but one words sharing a length that divides the length of
     the remaining one, which is then the longer one."""
     p = as_profile(profile)
-    return (
-        p.total <= 2
-        or p.is_constant
-        or (
-            len(p.values) == 2
-            and p.multiplicities[1] == 1
-            and p.values[1] % p.values[0] == 0
-        )
-    )
+    return p.total <= 2 or p.is_constant or _one_long_multiple(p)
 
 
 def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, InfiniteDelayWitnessSpec]:
@@ -398,9 +410,7 @@ def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, Infinite
     number at most two, or all but one share a value dividing the odd one,
     every uniquely decodable code has finite delay and no witness exists.
     """
-    Alphabet(n)
-    raw = as_length_sequence(lengths)
-    profile = LengthProfile.from_lengths(raw)
+    raw, profile = _lengths_and_profile(lengths, n)
     if fd_matches_ud_condition(profile):
         raise CodesError(
             "every uniquely decodable code with these lengths has finite "

@@ -43,6 +43,11 @@ class CodeFileError(CodesError):
         self.column = column
 
 
+def _int_at_least(value: object, least: int) -> bool:
+    """True iff value is an int, not a bool, and at least `least`."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 class _Frozen:
     """Base of the immutable value types.  Equality, hash and repr run over
     the fields named in ``__slots__``: an instance equals only an instance of
@@ -63,7 +68,9 @@ class _Frozen:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(
+            f"{name}={decimal_repr(getattr(self, name))}" for name in self.__slots__
+        )
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -82,7 +89,7 @@ class Alphabet(_Frozen):
     __slots__ = ("size",)
 
     def __init__(self, size: int) -> None:
-        if not isinstance(size, int) or isinstance(size, bool) or size < 2:
+        if not _int_at_least(size, 2):
             raise CodesError(f"alphabet size must be an integer >= 2, got {decimal_repr(size)}")
         object.__setattr__(self, "size", size)
 
@@ -101,7 +108,7 @@ class Word(_Frozen):
     def __init__(self, symbols: Sequence[int] = ()) -> None:
         symbols = tuple(symbols)
         for s in symbols:
-            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+            if not _int_at_least(s, 0):
                 raise CodesError(
                     f"word symbols must be non-negative integers, got {decimal_repr(s)}"
                 )
@@ -149,7 +156,7 @@ class Word(_Frozen):
     def __repr__(self) -> str:
         if all(s < len(GLYPHS) for s in self.symbols):
             return f"Word({self.text()!r})"
-        return f"Word({self.symbols!r})"
+        return f"Word({decimal_repr(self.symbols)})"
 
 
 class Code(_Frozen):
@@ -215,10 +222,10 @@ class LengthProfile(_Frozen):
         if len(values) != len(multiplicities):
             raise CodesError("values and multiplicities differ in length")
         for v in values:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not _int_at_least(v, 1):
                 raise CodesError(f"length values must be positive integers, got {decimal_repr(v)}")
         for r in multiplicities:
-            if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+            if not _int_at_least(r, 1):
                 raise CodesError(
                     f"multiplicities must be positive integers, got {decimal_repr(r)}"
                 )

@@ -1,9 +1,11 @@
 import importlib
+import json
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from udcodes import cli
 from udcodes.census import (
     BoundReport,
     CodeCounts,
@@ -150,6 +152,21 @@ def test_theorem1_bound_takes_a_known_ud_count(monkeypatch):
     given = theorem1_bound((2, 2, 3), 2, 2, 3, ud_count=80)
     assert given == computed
     assert theorem1_bound((2, 2, 3), 2, 2, 3, enumeration_cap=10, ud_count=80) == computed
+
+
+def test_a_cross_check_discrepancy_fails_the_census_and_the_cli(monkeypatch, capsys):
+    census_module = importlib.import_module("udcodes.census")
+    true_count = census_module.count_233
+
+    def one_ud_too_many(n):
+        counts = true_count(n)
+        return counts._replace(ud=counts.ud + 1)
+
+    monkeypatch.setattr(census_module, "count_233", one_ud_too_many)
+    message = "ud: formula 181 != enumeration 180"
+    assert census((2, 3, 3), 2).discrepancies == (message,)
+    assert cli.main(["count", "--lengths", "2,3,3", "--alphabet", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["census"]["discrepancies"] == [message]
 
 
 def test_theorem1_bound_is_symmetric_in_the_pair():

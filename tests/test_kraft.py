@@ -37,6 +37,17 @@ def test_is_feasible():
     assert is_feasible((1, 1, 2), 3)
 
 
+def test_no_prefix_code_exactly_when_kraft_fails():
+    """|PR_n(L)| = 0 iff the Kraft sum exceeds 1, which the census reads off
+    the prefix count."""
+    for m in range(1, 7):
+        for lengths in itertools.combinations_with_replacement(range(1, 7), m):
+            for n in (2, 3, 4):
+                assert (count_prefix_codes(lengths, n).count == 0) == (
+                    not is_feasible(lengths, n)
+                ), (lengths, n)
+
+
 def test_kraft_rejects_bad_alphabet():
     with pytest.raises(CodesError):
         kraft_sum((1, 2), 1)

@@ -258,6 +258,35 @@ def test_word_ordering_by_symbols():
             lambda: InfiniteDelayWitnessSpec("rb-many", 3, 2, None, None),
             "witness needs 0 < a < b, got a=3, b=2",
         ),
+        (lambda: count_pr_pair(1.5, 2, 2), "lengths must be integers, got a=1.5, b=2"),
+        (lambda: count_pr_pair(True, 2, 2), "lengths must be integers, got a=True, b=2"),
+        (lambda: count_all_a_then_b(2, 3, 2, -2), "lengths must be >= 1, got a=2, b=-2"),
+        (lambda: count_all_a_then_b(2, 3, 0, 2), "lengths must be >= 1, got a=0, b=2"),
+        (lambda: count_all_a_then_b(2, 3, 1.0, 2), "lengths must be integers, got a=1.0, b=2"),
+        (
+            lambda: count_all_a_then_b(2, 2.0, 1, 2),
+            "the number of words must be an integer, got m=2.0",
+        ),
+        (
+            lambda: theorem1_bound((2, 3, 3), 2, 2.0, 3),
+            "a=2.0 and b=3 must be two different length values of the profile",
+        ),
+        (
+            lambda: theorem1_bound((1, 2, 2), 2, True, 2),
+            "a=True and b=2 must be two different length values of the profile",
+        ),
+        (
+            lambda: count_anchored_prefix_codes((1, 2, 2), 2, 1.0, 2),
+            "both 1.0 and 2 must be length values of the profile",
+        ),
+        (
+            lambda: anchored_prefix_code((1, 2, 2), 2, True, 2),
+            "both True and 2 must be length values of the profile",
+        ),
+        (
+            lambda: anchored_prefix_code((1, 2, 3), 2, 1, 2, 3.0),
+            "zero_word_length must be a length value >= 2, got 3.0",
+        ),
     ),
 )
 def test_refused_construction_messages(build, message):
@@ -367,6 +396,21 @@ def test_refusals_show_the_callers_numbers_of_any_length(default_digit_limit, bu
     with pytest.raises(CodesError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_reprs_show_numbers_of_any_length(default_digit_limit):
+    """Under Python's default int-to-str digit limit, the word types' reprs
+    show every number in full."""
+    nines = "9" * 5000  # HUGE - 1
+    assert repr(Alphabet(HUGE)) == f"Alphabet(size={HUGE_TEXT})"
+    assert repr(Word((HUGE,))) == f"Word(({HUGE_TEXT},))"
+    assert repr(Word((1, HUGE))) == f"Word((1, {HUGE_TEXT}))"
+    assert repr(LengthProfile((HUGE,), (1,))) == (
+        f"LengthProfile(values=({HUGE_TEXT},), multiplicities=(1,))"
+    )
+    assert repr(Code(Alphabet(HUGE), (Word((HUGE - 1,)),))) == (
+        f"Code(alphabet=Alphabet(size={HUGE_TEXT}), words=(Word(({nines},)),))"
+    )
 
 
 def test_code_refuses_an_alphabet_that_is_not_an_alphabet():
