@@ -10,12 +10,13 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple, Optional
 
 from .decide import RawWord, _classes, _letter_width, _pack, _packed_pool
 from .kraft import (
     _is_length_value,
-    _length_sum,
+    _lengths_at,
     _one_long_multiple,
     count_prefix_codes,
     fd_matches_ud_condition,
@@ -27,7 +28,7 @@ from .words import (
     LengthProfile,
     ProfileLike,
     _int_at_least,
-    as_profile,
+    decimal_repr,
     decimal_str,
     decimal_text,
 )
@@ -42,7 +43,7 @@ class CodeCounts(NamedTuple):
 
 def _check_lengths(a: int, b: int) -> None:
     """Refuse the lengths a and b unless both are ints, not bools, >= 1."""
-    if a < 1 or b < 1:
+    if (isinstance(a, Real) and a < 1) or (isinstance(b, Real) and b < 1):
         raise CodesError(f"lengths must be >= 1, got a={decimal_str(a)}, b={decimal_str(b)}")
     if not (_int_at_least(a, 1) and _int_at_least(b, 1)):
         raise CodesError(f"lengths must be integers, got a={decimal_str(a)}, b={decimal_str(b)}")
@@ -51,7 +52,7 @@ def _check_lengths(a: int, b: int) -> None:
 def count_pr_pair(a: int, b: int, n: int) -> int:
     """Number of two-word prefix codes with lengths (a, b): n^(a+b) - n^max(a,b)."""
     _check_lengths(a, b)
-    Alphabet(n)
+    _lengths_at((a, b), n)
     return n ** (a + b) - n ** max(a, b)
 
 
@@ -77,7 +78,7 @@ def count_all_a_then_b(n: int, m: int, a: int, b: int) -> CodeCounts:
     where a divides b.  With more short words than n^a, the falling
     factorial and so both counts are zero."""
     Alphabet(n)
-    if m < 2:
+    if isinstance(m, Real) and m < 2:
         raise CodesError(f"need at least two words, got m={decimal_str(m)}")
     if not _int_at_least(m, 2):
         raise CodesError(f"the number of words must be an integer, got m={decimal_str(m)}")
@@ -87,6 +88,9 @@ def count_all_a_then_b(n: int, m: int, a: int, b: int) -> CodeCounts:
             f"the closed form requires the short length to divide the long "
             f"one; {decimal_str(a)} does not divide {decimal_str(b)}"
         )
+    # the power-bits refusal, on m-1 lengths a and one length b
+    lengths = LengthProfile((a, b), (m - 1, 1)) if a < b else LengthProfile((a,), (m,))
+    _lengths_at(lengths, n)
     falling = math.perm(n**a, m - 1)
     ud = falling * (n**b - (m - 1) ** (b // a))
     pr = falling * (n**b - (m - 1) * n ** (b - a))
@@ -100,7 +104,7 @@ def closed_form_counts(profile: ProfileLike, n: int) -> Optional[CodeCounts]:
     word of length 2 and two of length 3, and profiles with all words but
     one sharing a length that divides the odd one out.
     """
-    p = as_profile(profile)
+    _, p, _ = _lengths_at(profile, n)
     if p.is_constant:
         pr = count_prefix_codes(p, n).count
         return CodeCounts(pr, pr)
@@ -124,15 +128,21 @@ class UniverseTooLarge(CodesError):
 def universe_size(profile: ProfileLike, n: int) -> int:
     """Number of ordered word sequences with the given lengths; refused
     (CodesError) when it may need more than MAX_POWER_BITS bits."""
-    return n ** _length_sum(as_profile(profile), n)
+    return n ** _lengths_at(profile, n)[2]
 
 
-def _checked_alphabet(lengths: tuple[int, ...], n: int, cap: int) -> Alphabet:
-    """The cap on the whole universe, then the alphabet, before any code."""
-    total = universe_size(lengths, n)
+def _within_cap(
+    lengths: ProfileLike, n: int, cap: int
+) -> tuple[tuple[int, ...], LengthProfile, int]:
+    """The (lengths, n) check, then the cap on the whole universe, before
+    any code: the raw lengths, their profile and the universe size."""
+    raw, profile, length_sum = _lengths_at(lengths, n)
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise CodesError(f"the universe cap must be an integer, got {decimal_repr(cap)}")
+    total = n**length_sum
     if total > cap:
         raise UniverseTooLarge(total, cap)
-    return Alphabet(n)
+    return raw, profile, total
 
 
 def _raw_pool(length: int, n: int) -> tuple[RawWord, ...]:
@@ -211,8 +221,7 @@ def _orbits(v: int, r: int, n: int) -> list[list]:
     return orbits
 
 
-def _enumerated_counts(p: LengthProfile, n: int, cap: int) -> tuple[int, int, int]:
-    _checked_alphabet(p.lengths, n, cap)
+def _enumerated_counts(p: LengthProfile, n: int) -> tuple[int, int, int]:
     width = _letter_width(n)
     later = [(_packed_pool(v, n), r) for v, r in zip(p.values[1:], p.multiplicities[1:])]
     counts = [0, 0, 0]
@@ -254,12 +263,12 @@ def census(
     of its ambiguity graph that stops at the first catch-up."""
     if mode not in ("formula", "enumeration", "both"):
         raise CodesError(f"mode must be formula, enumeration or both, got {mode!r}")
-    p = as_profile(profile)
-    total = universe_size(p, n)
     if mode == "formula":
+        _, p, length_sum = _lengths_at(profile, n)
         pr, fd, ud = _formula_counts(p, n)
-        return CensusReport(p, n, total, pr, fd, ud, mode, ())
-    e_pr, e_fd, e_ud = _enumerated_counts(p, n, cap)
+        return CensusReport(p, n, n**length_sum, pr, fd, ud, mode, ())
+    _, p, total = _within_cap(profile, n, cap)
+    e_pr, e_fd, e_ud = _enumerated_counts(p, n)
     if mode == "enumeration":
         return CensusReport(p, n, total, e_pr, e_fd, e_ud, mode, ())
     f_pr, f_fd, f_ud = _formula_counts(p, n)
@@ -308,7 +317,7 @@ def theorem1_bound(
     ``ud_count`` (say, by a census the caller already ran), or else from a
     closed form or a desk-scale enumeration; it is never estimated.
     """
-    p = as_profile(profile)
+    _, p, _ = _lengths_at(profile, n)
     if p.is_constant:
         raise CodesError("the bound needs two distinct length values; profile is constant")
     if a == b or not (_is_length_value(p, a) and _is_length_value(p, b)):
@@ -355,7 +364,7 @@ def is_pr_eq_ud(profile: ProfileLike, n: int) -> bool:
     code; holds exactly for constant profiles.  The criterion itself does not
     depend on n, but feasibility at n is required for the question to be
     about a non-empty class."""
-    p = as_profile(profile)
+    _, p, _ = _lengths_at(profile, n)
     _require_feasible(p, n, _VACUOUS)
     return p.is_constant
 
@@ -363,6 +372,6 @@ def is_pr_eq_ud(profile: ProfileLike, n: int) -> bool:
 def is_fd_eq_ud(profile: ProfileLike, n: int) -> bool:
     """True iff every uniquely decodable code with these lengths has finite
     delay; see fd_matches_ud_condition for the structural criterion."""
-    p = as_profile(profile)
+    _, p, _ = _lengths_at(profile, n)
     _require_feasible(p, n, _VACUOUS)
     return fd_matches_ud_condition(p)

@@ -15,20 +15,20 @@ from typing import IO, Iterator, NamedTuple, Optional
 # census, classify and universe_size are re-exported: callers reach them here.
 from .census import (
     DEFAULT_UNIVERSE_CAP,
-    _checked_alphabet,
     _raw_pool,
+    _within_cap,
     census,
     universe_size,
 )
 from .decide import _IN_NO_CLASS, RawWord, _classes, _letter_width, _packed_pool, classify
 from .words import (
     GLYPHS,
+    Alphabet,
     Code,
     CodesError,
     ProfileLike,
     Word,
     _int_at_least,
-    as_length_sequence,
     decimal_repr,
     decimal_text,
 )
@@ -55,8 +55,8 @@ def enumerate_codes(
     order of the concatenated symbol sequence.  Non-injective sequences are
     included; classification filters them.  The cap is checked on the call,
     before any code is produced."""
-    lengths = as_length_sequence(profile)
-    alphabet = _checked_alphabet(lengths, n, cap)
+    lengths, _, _ = _within_cap(profile, n, cap)
+    alphabet = Alphabet(n)
     pools = [tuple(map(Word, _raw_pool(length, n))) for length in lengths]
     return (Code(alphabet, combo) for combo in itertools.product(*pools))
 
@@ -89,8 +89,7 @@ def write_classification_csv(
     No field needs quoting (glyphs, ';', true/false and digits), so a row is
     the code's text and one cached string per classification, and rows are
     written in chunks."""
-    lengths = as_length_sequence(profile)
-    _checked_alphabet(lengths, n, cap)
+    lengths, _, total = _within_cap(profile, n, cap)
     if n > len(GLYPHS):
         raise CodesError(
             f"alphabet of size {decimal_text(n)} exceeds the {len(GLYPHS)}-letter text form"
@@ -111,7 +110,6 @@ def write_classification_csv(
         if lengths.count(v) > 1
     ]
     width = _letter_width(n)
-    total = universe_size(lengths, n)
     ids = array.array("H", [0]) * total
     out.write("code,injective,prefix,ud,finite_delay,delay\n")
     # a class is four flags and a delay of O((sum of lengths)^2) letters, so

@@ -9,6 +9,10 @@ neither shadowed by earlier choices nor excluded.  One rule excludes: a
 word is never picked when it is forced or is a prefix of a longer forced
 word.  So no pick shadows a forced word.
 
+Every function of the package that takes lengths and an alphabet size
+checks them through _lengths_at: the alphabet, then the lengths, then the
+MAX_POWER_BITS bound on n^(sum of lengths), before any power is built.
+
 All counting is exact big-integer / rational arithmetic; nothing here ever
 touches floating point.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import perm
+from numbers import Real
 from typing import NamedTuple, Optional
 
 from .words import (
@@ -47,30 +52,30 @@ class ConstructionError(CodesError):
 MAX_POWER_BITS = 2**20
 
 
-def check_power_bits(profile: ProfileLike, n: int) -> None:
-    """Refuse a profile whose n^(sum of lengths) may need more than
-    MAX_POWER_BITS bits, that is, whose sum of lengths times ceil(log2 n)
-    exceeds it, before any power is built."""
-    _length_sum(as_profile(profile), n)
-
-
-def _length_sum(p: LengthProfile, n: int) -> int:
-    """The sum of the profile's lengths, after check_power_bits's refusal."""
-    total = sum(v * r for v, r in zip(p.values, p.multiplicities))
+def _lengths_at(lengths: ProfileLike, n: int) -> tuple[tuple[int, ...], LengthProfile, int]:
+    """The one check of a (lengths, n) argument pair.  In order: the
+    alphabet, the profile (an iterable of lengths is read once), and the
+    refusal of lengths whose n^(sum of lengths) may need more than
+    MAX_POWER_BITS bits, that is, whose sum times ceil(log2 n) exceeds it.
+    Only then is the raw length order expanded (a profile expands sorted),
+    so no refused profile is ever expanded.  Returns the raw lengths, the
+    profile and the sum of the lengths."""
+    Alphabet(n)
+    raw = lengths if isinstance(lengths, LengthProfile) else tuple(lengths)
+    profile = as_profile(raw)
+    total = sum(v * r for v, r in zip(profile.values, profile.multiplicities))
     if total * (n - 1).bit_length() > MAX_POWER_BITS:
         total_text, n_text = decimal_text(total), decimal_text(n)
         raise CodesError(
             f"lengths summing to {total_text} are refused at alphabet size {n_text}: "
             f"{n_text}^{total_text} may need more than {MAX_POWER_BITS} bits"
         )
-    return total
+    return (profile.lengths if raw is profile else raw), profile, total
 
 
 def kraft_sum(profile: ProfileLike, n: int) -> Fraction:
     """Sum of r * n^-value over the profile, as an exact rational."""
-    Alphabet(n)
-    p = as_profile(profile)
-    check_power_bits(p, n)
+    _, p, _ = _lengths_at(profile, n)
     return sum(
         (Fraction(r, n**v) for v, r in zip(p.values, p.multiplicities)), Fraction(0)
     )
@@ -99,9 +104,7 @@ class KraftTrace(NamedTuple):
 
 def count_prefix_codes(profile: ProfileLike, n: int) -> KraftTrace:
     """Exact number of prefix codes (as ordered sequences) with this profile."""
-    Alphabet(n)
-    p = as_profile(profile)
-    check_power_bits(p, n)
+    _, p, _ = _lengths_at(profile, n)
     available = []
     count = 1
     free = 1  # the empty word is the one numeral of length 0
@@ -212,16 +215,6 @@ def _staged_prefix_code(
     return _arrange(raw, words_at, n)
 
 
-def _lengths_and_profile(lengths: ProfileLike, n: int) -> tuple[tuple[int, ...], LengthProfile]:
-    """Check the alphabet, then return the raw length order (a profile
-    expands sorted) with its profile."""
-    Alphabet(n)
-    if isinstance(lengths, LengthProfile):
-        return lengths.lengths, lengths
-    raw = tuple(lengths)
-    return raw, LengthProfile.from_lengths(raw)
-
-
 def canonical_prefix_code(lengths: ProfileLike, n: int) -> Code:
     """The lexicographically smallest prefix code with the given lengths.
 
@@ -229,7 +222,8 @@ def canonical_prefix_code(lengths: ProfileLike, n: int) -> Code:
     shadowed by shorter ones; positions sharing a length are filled in
     ascending order.
     """
-    return _staged_prefix_code(*_lengths_and_profile(lengths, n), n, {})
+    raw, profile, _ = _lengths_at(lengths, n)
+    return _staged_prefix_code(raw, profile, n, {})
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +260,7 @@ def _is_length_value(profile: LengthProfile, x: object) -> bool:
 
 
 def _check_anchor_args(profile: LengthProfile, a: int, b: int) -> None:
-    if a >= b:
+    if isinstance(a, Real) and isinstance(b, Real) and a >= b:
         raise CodesError(
             f"anchored family needs a < b, got a={decimal_str(a)}, b={decimal_str(b)}"
         )
@@ -278,8 +272,7 @@ def _check_anchor_args(profile: LengthProfile, a: int, b: int) -> None:
 
 def count_anchored_prefix_codes(profile: ProfileLike, n: int, a: int, b: int) -> AnchoredFamily:
     """Exact size of the anchored family; 0 for infeasible profiles."""
-    Alphabet(n)
-    p = as_profile(profile)
+    _, p, _ = _lengths_at(profile, n)
     _check_anchor_args(p, a, b)
     index_a = p.values.index(a)
     index_b = p.values.index(b)
@@ -313,7 +306,7 @@ def anchored_prefix_code(
     the earliest slots of their length (anchor first, then the forced zero
     word), extras follow in ascending order.
     """
-    raw, profile = _lengths_and_profile(lengths, n)
+    raw, profile, _ = _lengths_at(lengths, n)
     _check_anchor_args(profile, a, b)
     if zero_word_length is not None:
         if not _is_length_value(profile, zero_word_length) or zero_word_length < b:
@@ -334,7 +327,7 @@ def ud_nonprefix_witness(lengths: ProfileLike, n: int) -> Code:
     smallest length values; reversal preserves unique decodability, and the
     reversed anchors make the short word a prefix of the longer one.
     """
-    raw, profile = _lengths_and_profile(lengths, n)
+    raw, profile, _ = _lengths_at(lengths, n)
     if profile.is_constant:
         raise CodesError(
             "all lengths are equal: every uniquely decodable code with a "
@@ -410,7 +403,7 @@ def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, Infinite
     number at most two, or all but one share a value dividing the odd one,
     every uniquely decodable code has finite delay and no witness exists.
     """
-    raw, profile = _lengths_and_profile(lengths, n)
+    raw, profile, _ = _lengths_at(lengths, n)
     if fd_matches_ud_condition(profile):
         raise CodesError(
             "every uniquely decodable code with these lengths has finite "

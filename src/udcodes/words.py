@@ -277,16 +277,6 @@ def as_profile(profile: ProfileLike) -> LengthProfile:
     return LengthProfile.from_lengths(tuple(profile))
 
 
-def as_length_sequence(profile: ProfileLike) -> tuple[int, ...]:
-    """Raw length order: sequences keep their order, profiles expand sorted."""
-    if isinstance(profile, LengthProfile):
-        return profile.lengths
-    lengths = tuple(profile)
-    # validate through the profile machinery, then hand back the raw order
-    LengthProfile.from_lengths(lengths)
-    return lengths
-
-
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     if alphabet.size > len(GLYPHS):
         raise CodesError(

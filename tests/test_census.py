@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import tracemalloc
 from fractions import Fraction
@@ -21,7 +22,18 @@ from udcodes.census import (
     theorem1_bound,
     universe_size,
 )
-from udcodes.kraft import MAX_POWER_BITS, count_prefix_codes, is_feasible, kraft_sum
+from udcodes.enumeration import enumerate_codes, write_classification_csv
+from udcodes.kraft import (
+    MAX_POWER_BITS,
+    anchored_prefix_code,
+    canonical_prefix_code,
+    count_anchored_prefix_codes,
+    count_prefix_codes,
+    infinite_delay_witness,
+    is_feasible,
+    kraft_sum,
+    ud_nonprefix_witness,
+)
 from udcodes.words import CodesError, LengthProfile
 
 
@@ -196,6 +208,9 @@ def test_powers_past_the_bit_bound_are_refused_without_allocating():
             lambda: kraft_sum((10**11, 1), 2),
             lambda: count_prefix_codes((10**11, 1), 2),
             lambda: universe_size(many_twos, 3),
+            lambda: count_pr_pair(1, 2**21, 2),
+            lambda: count_all_a_then_b(2, 2, 1, 2**21),
+            lambda: closed_form_counts((1, 2**21), 2),
         ):
             with pytest.raises(CodesError, match=f"more than {MAX_POWER_BITS} bits"):
                 call()
@@ -203,6 +218,69 @@ def test_powers_past_the_bit_bound_are_refused_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+# Every public entry point that takes lengths and an alphabet size, with
+# its other arguments valid at n = 2.
+LENGTHS_AND_N = [
+    pytest.param(lambda n: kraft_sum((1, 2, 2), n), id="kraft_sum"),
+    pytest.param(lambda n: is_feasible((1, 2, 2), n), id="is_feasible"),
+    pytest.param(lambda n: count_prefix_codes((1, 2, 2), n), id="count_prefix_codes"),
+    pytest.param(
+        lambda n: count_anchored_prefix_codes((1, 2, 2), n, 1, 2),
+        id="count_anchored_prefix_codes",
+    ),
+    pytest.param(lambda n: canonical_prefix_code((1, 2, 2), n), id="canonical_prefix_code"),
+    pytest.param(lambda n: anchored_prefix_code((1, 2, 2), n, 1, 2), id="anchored_prefix_code"),
+    pytest.param(lambda n: ud_nonprefix_witness((1, 2, 2), n), id="ud_nonprefix_witness"),
+    pytest.param(lambda n: infinite_delay_witness((1, 2, 2), n), id="infinite_delay_witness"),
+    pytest.param(lambda n: universe_size((1, 2, 2), n), id="universe_size"),
+    pytest.param(lambda n: census((1, 2, 2), n, mode="formula"), id="census-formula"),
+    pytest.param(lambda n: census((1, 2, 2), n, mode="enumeration"), id="census-enumeration"),
+    pytest.param(lambda n: census((1, 2, 2), n), id="census-both"),
+    pytest.param(lambda n: closed_form_counts((1, 2, 2), n), id="closed_form_counts"),
+    pytest.param(lambda n: theorem1_bound((1, 2, 2), n, 1, 2), id="theorem1_bound"),
+    pytest.param(lambda n: is_pr_eq_ud((1, 2, 2), n), id="is_pr_eq_ud"),
+    pytest.param(lambda n: is_fd_eq_ud((1, 2, 2), n), id="is_fd_eq_ud"),
+    pytest.param(lambda n: enumerate_codes((1, 2, 2), n), id="enumerate_codes"),
+    pytest.param(
+        lambda n: write_classification_csv((1, 2, 2), n, io.StringIO()),
+        id="write_classification_csv",
+    ),
+    pytest.param(lambda n: count_pr_pair(1, 2, n), id="count_pr_pair"),
+    pytest.param(lambda n: count_all_a_then_b(n, 3, 1, 2), id="count_all_a_then_b"),
+]
+
+
+@pytest.mark.parametrize("n", (1, 2.0, True, "2", None))
+@pytest.mark.parametrize("call", LENGTHS_AND_N)
+def test_every_entry_point_refuses_a_bad_alphabet(call, n):
+    call(2)
+    with pytest.raises(CodesError) as info:
+        call(n)
+    assert str(info.value) == f"alphabet size must be an integer >= 2, got {n!r}"
+
+
+@pytest.mark.parametrize("cap", (1.5, None, True, "10"))
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda cap: census((2, 3), 2, cap=cap), id="census"),
+        pytest.param(
+            lambda cap: theorem1_bound((2, 3, 4), 2, 2, 3, enumeration_cap=cap),
+            id="theorem1_bound",
+        ),
+        pytest.param(lambda cap: enumerate_codes((2, 3), 2, cap=cap), id="enumerate_codes"),
+        pytest.param(
+            lambda cap: write_classification_csv((2, 3), 2, io.StringIO(), cap=cap),
+            id="write_classification_csv",
+        ),
+    ],
+)
+def test_a_cap_that_is_not_an_int_is_refused(call, cap):
+    with pytest.raises(CodesError) as info:
+        call(cap)
+    assert str(info.value) == f"the universe cap must be an integer, got {cap!r}"
 
 
 @pytest.mark.parametrize(

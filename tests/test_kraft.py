@@ -10,6 +10,7 @@ from udcodes.decide import delay_analysis, is_prefix_code, sardinas_patterson
 from udcodes.kraft import (
     ConstructionError,
     InfiniteDelayWitnessSpec,
+    _lengths_at,
     anchored_prefix_code,
     canonical_prefix_code,
     count_anchored_prefix_codes,
@@ -20,7 +21,7 @@ from udcodes.kraft import (
     ud_nonprefix_witness,
 )
 from udcodes.enumeration import enumerate_codes
-from udcodes.words import CodesError, LengthProfile, Word
+from udcodes.words import CodesError, LengthProfile, Word, as_profile
 
 
 def test_kraft_sum():
@@ -80,6 +81,16 @@ def test_canonical_prefix_code():
 def test_canonical_keeps_raw_order():
     # lengths are honored position by position, not sorted
     assert canonical_prefix_code((3, 2, 3), 2).texts() == ("010", "00", "011")
+
+
+def test_lengths_at_keeps_raw_order():
+    """A sequence keeps its order, a profile expands sorted, and an
+    iterator is read once."""
+    profile = LengthProfile.from_lengths((3, 2, 3))
+    assert _lengths_at((3, 2, 3), 2) == ((3, 2, 3), profile, 8)
+    assert _lengths_at(profile, 2) == ((2, 3, 3), profile, 8)
+    assert _lengths_at(iter((3, 2, 3)), 2) == ((3, 2, 3), profile, 8)
+    assert as_profile((3, 2, 3)) == as_profile((2, 3, 3))
 
 
 def test_canonical_is_a_prefix_code():

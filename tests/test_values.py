@@ -287,6 +287,19 @@ def test_word_ordering_by_symbols():
             lambda: anchored_prefix_code((1, 2, 3), 2, 1, 2, 3.0),
             "zero_word_length must be a length value >= 2, got 3.0",
         ),
+        (lambda: count_pr_pair("x", 2, 2), "lengths must be integers, got a=x, b=2"),
+        (
+            lambda: count_all_a_then_b(2, None, 1, 2),
+            "the number of words must be an integer, got m=None",
+        ),
+        (
+            lambda: anchored_prefix_code((1, 2, 2), 2, "1", 2),
+            "both 1 and 2 must be length values of the profile",
+        ),
+        (
+            lambda: count_anchored_prefix_codes((1, 2, 2), 2, None, 2),
+            "both None and 2 must be length values of the profile",
+        ),
     ),
 )
 def test_refused_construction_messages(build, message):

@@ -14,8 +14,6 @@ from udcodes.words import (
     LengthProfile,
     Word,
     WordParseError,
-    as_length_sequence,
-    as_profile,
     code_to_text,
     decimal_text,
     parse_code_file,
@@ -161,12 +159,6 @@ def test_length_profile_validation():
         LengthProfile.from_lengths((0, 1))
     with pytest.raises(CodesError):
         LengthProfile(values=(2, 1), multiplicities=(1, 1))
-
-
-def test_as_length_sequence_keeps_raw_order():
-    assert as_length_sequence((3, 2, 3)) == (3, 2, 3)
-    assert as_length_sequence(LengthProfile.from_lengths((3, 2, 3))) == (2, 3, 3)
-    assert as_profile((3, 2, 3)) == as_profile((2, 3, 3))
 
 
 FILE_TEXT = """alphabet 2
