@@ -135,14 +135,14 @@ def _within_cap(
     lengths: ProfileLike, n: int, cap: int
 ) -> tuple[tuple[int, ...], LengthProfile, int]:
     """The (lengths, n) check, then the cap on the whole universe, before
-    any code: the raw lengths, their profile and the universe size."""
+    any code: the raw lengths (sorted for a profile), profile, universe size."""
     raw, profile, length_sum = _lengths_at(lengths, n)
     if isinstance(cap, bool) or not isinstance(cap, int):
         raise CodesError(f"the universe cap must be an integer, got {decimal_repr(cap)}")
     total = n**length_sum
     if total > cap:
         raise UniverseTooLarge(total, cap)
-    return raw, profile, total
+    return (raw.lengths if isinstance(raw, LengthProfile) else raw), profile, total
 
 
 def _raw_pool(length: int, n: int) -> tuple[RawWord, ...]:
@@ -326,6 +326,8 @@ def theorem1_bound(
             f"of the profile"
         )
     _require_feasible(p, n)
+    if ud_count is not None and not _int_at_least(ud_count, 0):
+        raise CodesError(f"ud_count must be an integer >= 0, got {decimal_repr(ud_count)}")
     r_a = p.multiplicity(a)
     r_b = p.multiplicity(b)
     lower = 1 + Fraction(r_a * r_b, count_pr_pair(a, b, n))

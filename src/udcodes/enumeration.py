@@ -12,14 +12,8 @@ import itertools
 import operator
 from typing import IO, Iterator, NamedTuple, Optional
 
-# census, classify and universe_size are re-exported: callers reach them here.
-from .census import (
-    DEFAULT_UNIVERSE_CAP,
-    _raw_pool,
-    _within_cap,
-    census,
-    universe_size,
-)
+# census and classify are re-exported: perfbench/tracer.py times them here.
+from .census import DEFAULT_UNIVERSE_CAP, _raw_pool, _within_cap, census
 from .decide import _IN_NO_CLASS, RawWord, _classes, _letter_width, _packed_pool, classify
 from .words import (
     GLYPHS,

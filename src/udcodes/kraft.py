@@ -11,7 +11,8 @@ word.  So no pick shadows a forced word.
 
 Every function of the package that takes lengths and an alphabet size
 checks them through _lengths_at: the alphabet, then the lengths, then the
-MAX_POWER_BITS bound on n^(sum of lengths), before any power is built.
+MAX_POWER_BITS bound on n^(sum of lengths), before any power is built.  Only
+the layout of words (_arrange, census._within_cap) expands a LengthProfile.
 
 All counting is exact big-integer / rational arithmetic; nothing here ever
 touches floating point.
@@ -32,6 +33,7 @@ from .words import (
     ProfileLike,
     Word,
     _int_at_least,
+    _length_tuple,
     as_profile,
     decimal_str,
     decimal_text,
@@ -52,16 +54,16 @@ class ConstructionError(CodesError):
 MAX_POWER_BITS = 2**20
 
 
-def _lengths_at(lengths: ProfileLike, n: int) -> tuple[tuple[int, ...], LengthProfile, int]:
+def _lengths_at(lengths: ProfileLike, n: int) -> tuple[ProfileLike, LengthProfile, int]:
     """The one check of a (lengths, n) argument pair.  In order: the
-    alphabet, the profile (an iterable of lengths is read once), and the
-    refusal of lengths whose n^(sum of lengths) may need more than
+    alphabet, the lengths (read once, by LengthProfile.from_lengths), and
+    the refusal of lengths whose n^(sum of lengths) may need more than
     MAX_POWER_BITS bits, that is, whose sum times ceil(log2 n) exceeds it.
-    Only then is the raw length order expanded (a profile expands sorted),
-    so no refused profile is ever expanded.  Returns the raw lengths, the
-    profile and the sum of the lengths."""
+    Returns the lengths as read (a tuple in the caller's order, or the
+    LengthProfile itself, never expanded), the profile and the sum of the
+    lengths."""
     Alphabet(n)
-    raw = lengths if isinstance(lengths, LengthProfile) else tuple(lengths)
+    raw = lengths if isinstance(lengths, LengthProfile) else _length_tuple(lengths)
     profile = as_profile(raw)
     total = sum(v * r for v, r in zip(profile.values, profile.multiplicities))
     if total * (n - 1).bit_length() > MAX_POWER_BITS:
@@ -70,7 +72,7 @@ def _lengths_at(lengths: ProfileLike, n: int) -> tuple[tuple[int, ...], LengthPr
             f"lengths summing to {total_text} are refused at alphabet size {n_text}: "
             f"{n_text}^{total_text} may need more than {MAX_POWER_BITS} bits"
         )
-    return (profile.lengths if raw is profile else raw), profile, total
+    return raw, profile, total
 
 
 def kraft_sum(profile: ProfileLike, n: int) -> Fraction:
@@ -167,15 +169,16 @@ def _numeral_to_word(value: int, length: int, n: int) -> Word:
     return Word(tuple(reversed(digits)))
 
 
-def _arrange(raw_lengths: tuple[int, ...], words_at: dict[int, list[Word]], n: int) -> Code:
-    """Fill the raw positions: each length's word list feeds its positions in
-    order of appearance."""
+def _arrange(raw: ProfileLike, words_at: dict[int, list[Word]], n: int) -> Code:
+    """Fill the positions of the raw lengths, a profile's in increasing
+    order: each length's word list feeds its positions in order of appearance."""
     iters = {length: iter(ws) for length, ws in words_at.items()}
-    return Code(Alphabet(n), tuple(next(iters[length]) for length in raw_lengths))
+    lengths = raw.lengths if isinstance(raw, LengthProfile) else raw
+    return Code(Alphabet(n), tuple(next(iters[length]) for length in lengths))
 
 
 def _staged_prefix_code(
-    raw: tuple[int, ...], profile: LengthProfile, n: int, forced: dict[int, list[int]]
+    raw: ProfileLike, profile: LengthProfile, n: int, forced: dict[int, list[int]]
 ) -> Code:
     """The staged prefix construction.  After the Kraft check, each length
     value v in increasing order takes its `forced` numerals first, then the
@@ -418,12 +421,10 @@ def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, Infinite
 
     a, b = profile.values[0], profile.values[1]
     r_b = profile.multiplicities[1]
-    if r_b > 1:
-        code = anchored_prefix_code(raw, n, a, b, zero_word_length=b).reverse()
-        return code, InfiniteDelayWitnessSpec("rb-many", a, b, None, None)
-    if len(profile.values) >= 3:
-        code = anchored_prefix_code(raw, n, a, b, zero_word_length=profile.values[2]).reverse()
-        return code, InfiniteDelayWitnessSpec("three-values", a, b, None, None)
+    if r_b > 1 or len(profile.values) >= 3:
+        case, z = ("rb-many", b) if r_b > 1 else ("three-values", profile.values[2])
+        code = anchored_prefix_code(raw, n, a, b, zero_word_length=z).reverse()
+        return code, InfiniteDelayWitnessSpec(case, a, b, None, None)
 
     # exactly two values, the longer unique and not a multiple of the shorter
     remainder = (b - a) % a

@@ -15,7 +15,7 @@ import decimal
 import functools
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _GLYPH_INDEX = {ch: i for i, ch in enumerate(GLYPHS)}
@@ -237,12 +237,24 @@ class LengthProfile(_Frozen):
         object.__setattr__(self, "multiplicities", multiplicities)
 
     @classmethod
-    def from_lengths(cls, lengths: Sequence[int]) -> "LengthProfile":
+    def from_lengths(cls, lengths: Iterable[int]) -> "LengthProfile":
+        """The profile of the lengths, read once.  Each must be an int >= 1,
+        not a bool; the smallest that is not is refused (the first if unordered)."""
+        lengths = _length_tuple(lengths)
         if not lengths:
             raise CodesError("a length profile needs at least one length")
-        counts = Counter(lengths)
-        values = tuple(sorted(counts))
-        return cls(values, tuple(counts[v] for v in values))
+        try:  # the constructor refuses the smallest value
+            counts = Counter(lengths)
+            values = tuple(sorted(counts))
+            profile = cls(values, tuple(counts[v] for v in values))
+        except TypeError:  # a length that cannot be hashed or ordered, named below
+            profile = None
+        for length in lengths:  # a bool or float equal to an int counts as that int
+            if not _int_at_least(length, 1):
+                raise CodesError(
+                    f"length values must be positive integers, got {decimal_repr(length)}"
+                )
+        return profile
 
     @property
     def total(self) -> int:
@@ -268,13 +280,23 @@ class LengthProfile(_Frozen):
         return 0
 
 
-ProfileLike = Union[LengthProfile, Sequence[int]]
+ProfileLike = Union[LengthProfile, Iterable[int]]
+
+
+def _length_tuple(lengths: Iterable[int]) -> tuple:
+    """The lengths as a tuple: a tuple as itself, None as empty."""
+    try:
+        return tuple(lengths or ())
+    except TypeError:
+        raise CodesError(
+            f"lengths must be an iterable of positive integers, got {decimal_repr(lengths)}"
+        ) from None
 
 
 def as_profile(profile: ProfileLike) -> LengthProfile:
     if isinstance(profile, LengthProfile):
         return profile
-    return LengthProfile.from_lengths(tuple(profile))
+    return LengthProfile.from_lengths(profile)
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

@@ -28,24 +28,24 @@ import time
 from fractions import Fraction
 
 from udcodes.census import (
+    census,
     count_all_a_then_b,
     is_fd_eq_ud,
     fd_matches_ud_condition,
     theorem1_bound,
+    universe_size,
 )
 from udcodes.decide import (
+    classify,
     delay_analysis,
     sardinas_patterson,
 )
 from udcodes.enumeration import (
     BUILTIN_SUITE,
     bounded_delay_probe,
-    census,
-    classify,
     enumerate_codes,
     safe_bound,
     two_factorization_search,
-    universe_size,
 )
 from udcodes.kraft import (
     count_anchored_prefix_codes,

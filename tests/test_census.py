@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import importlib
 import io
 import json
@@ -34,7 +36,7 @@ from udcodes.kraft import (
     kraft_sum,
     ud_nonprefix_witness,
 )
-from udcodes.words import CodesError, LengthProfile
+from udcodes.words import CodesError, LengthProfile, as_profile
 
 
 def test_count_pr_pair():
@@ -220,45 +222,116 @@ def test_powers_past_the_bit_bound_are_refused_without_allocating():
     assert peak < 10**6
 
 
+ONES = LengthProfile((1,), (10**6,))
+
+
+@pytest.mark.parametrize(
+    "call, limit",
+    [
+        pytest.param(lambda: kraft_sum(ONES, 2), 10**6, id="kraft_sum"),
+        pytest.param(lambda: is_feasible(ONES, 2), 10**6, id="is_feasible"),
+        pytest.param(lambda: count_prefix_codes(ONES, 2), 10**6, id="count_prefix_codes"),
+        pytest.param(lambda: closed_form_counts(ONES, 2), 10**6, id="closed_form_counts"),
+        pytest.param(lambda: census(ONES, 2, mode="formula"), 10**6, id="census-formula"),
+        pytest.param(lambda: universe_size(ONES, 2), 10**6, id="universe_size"),
+        pytest.param(lambda: is_pr_eq_ud(ONES, 2), 10**6, id="is_pr_eq_ud"),
+        pytest.param(lambda: is_fd_eq_ud(ONES, 2), 10**6, id="is_fd_eq_ud"),
+        # refused by the cap, whose message renders the 301,030-digit universe
+        pytest.param(
+            lambda: census(ONES, 2, mode="enumeration"), 2 * 10**6, id="census-enumeration"
+        ),
+        pytest.param(lambda: enumerate_codes(ONES, 2), 2 * 10**6, id="enumerate_codes"),
+    ],
+)
+def test_a_profile_is_counted_without_expanding_it(call, limit):
+    """A million words of length 1 at n = 2: the counts read the profile's
+    values and multiplicities, never a tuple of a million lengths."""
+    tracemalloc.start()
+    try:
+        with contextlib.suppress(CodesError):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
 # Every public entry point that takes lengths and an alphabet size, with
-# its other arguments valid at n = 2.
-LENGTHS_AND_N = [
-    pytest.param(lambda n: kraft_sum((1, 2, 2), n), id="kraft_sum"),
-    pytest.param(lambda n: is_feasible((1, 2, 2), n), id="is_feasible"),
-    pytest.param(lambda n: count_prefix_codes((1, 2, 2), n), id="count_prefix_codes"),
-    pytest.param(
-        lambda n: count_anchored_prefix_codes((1, 2, 2), n, 1, 2),
-        id="count_anchored_prefix_codes",
+# its other arguments valid for the lengths (1, 2, 2) at n = 2.
+LENGTHS_AND_N = {
+    "kraft_sum": kraft_sum,
+    "is_feasible": is_feasible,
+    "count_prefix_codes": count_prefix_codes,
+    "count_anchored_prefix_codes": lambda lengths, n: count_anchored_prefix_codes(
+        lengths, n, 1, 2
     ),
-    pytest.param(lambda n: canonical_prefix_code((1, 2, 2), n), id="canonical_prefix_code"),
-    pytest.param(lambda n: anchored_prefix_code((1, 2, 2), n, 1, 2), id="anchored_prefix_code"),
-    pytest.param(lambda n: ud_nonprefix_witness((1, 2, 2), n), id="ud_nonprefix_witness"),
-    pytest.param(lambda n: infinite_delay_witness((1, 2, 2), n), id="infinite_delay_witness"),
-    pytest.param(lambda n: universe_size((1, 2, 2), n), id="universe_size"),
-    pytest.param(lambda n: census((1, 2, 2), n, mode="formula"), id="census-formula"),
-    pytest.param(lambda n: census((1, 2, 2), n, mode="enumeration"), id="census-enumeration"),
-    pytest.param(lambda n: census((1, 2, 2), n), id="census-both"),
-    pytest.param(lambda n: closed_form_counts((1, 2, 2), n), id="closed_form_counts"),
-    pytest.param(lambda n: theorem1_bound((1, 2, 2), n, 1, 2), id="theorem1_bound"),
-    pytest.param(lambda n: is_pr_eq_ud((1, 2, 2), n), id="is_pr_eq_ud"),
-    pytest.param(lambda n: is_fd_eq_ud((1, 2, 2), n), id="is_fd_eq_ud"),
-    pytest.param(lambda n: enumerate_codes((1, 2, 2), n), id="enumerate_codes"),
-    pytest.param(
-        lambda n: write_classification_csv((1, 2, 2), n, io.StringIO()),
-        id="write_classification_csv",
+    "canonical_prefix_code": canonical_prefix_code,
+    "anchored_prefix_code": lambda lengths, n: anchored_prefix_code(lengths, n, 1, 2),
+    "ud_nonprefix_witness": ud_nonprefix_witness,
+    "infinite_delay_witness": infinite_delay_witness,
+    "universe_size": universe_size,
+    "census-formula": lambda lengths, n: census(lengths, n, mode="formula"),
+    "census-enumeration": lambda lengths, n: census(lengths, n, mode="enumeration"),
+    "census-both": census,
+    "closed_form_counts": closed_form_counts,
+    "theorem1_bound": lambda lengths, n: theorem1_bound(lengths, n, 1, 2),
+    "is_pr_eq_ud": is_pr_eq_ud,
+    "is_fd_eq_ud": is_fd_eq_ud,
+    "enumerate_codes": enumerate_codes,
+    "write_classification_csv": lambda lengths, n: write_classification_csv(
+        lengths, n, io.StringIO()
     ),
-    pytest.param(lambda n: count_pr_pair(1, 2, n), id="count_pr_pair"),
-    pytest.param(lambda n: count_all_a_then_b(n, 3, 1, 2), id="count_all_a_then_b"),
-]
+}
 
 
 @pytest.mark.parametrize("n", (1, 2.0, True, "2", None))
-@pytest.mark.parametrize("call", LENGTHS_AND_N)
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(functools.partial(call, (1, 2, 2)), id=name)
+        for name, call in LENGTHS_AND_N.items()
+    ]
+    + [
+        pytest.param(lambda n: count_pr_pair(1, 2, n), id="count_pr_pair"),
+        pytest.param(lambda n: count_all_a_then_b(n, 3, 1, 2), id="count_all_a_then_b"),
+    ],
+)
 def test_every_entry_point_refuses_a_bad_alphabet(call, n):
     call(2)
     with pytest.raises(CodesError) as info:
         call(n)
     assert str(info.value) == f"alphabet size must be an integer >= 2, got {n!r}"
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        pytest.param(None, "a length profile needs at least one length"),
+        pytest.param(5, "lengths must be an iterable of positive integers, got 5", id="int"),
+        pytest.param((1, "2"), "length values must be positive integers, got '2'", id="str"),
+        pytest.param((1, None), "length values must be positive integers, got None", id="a-None"),
+        pytest.param(([1],), "length values must be positive integers, got [1]", id="list"),
+        # a bool or a float equal to a length would count as that length
+        pytest.param((1, True), "length values must be positive integers, got True", id="bool"),
+        pytest.param((1, 1.0), "length values must be positive integers, got 1.0", id="float"),
+    ],
+)
+@pytest.mark.parametrize(
+    "call",
+    [pytest.param(call, id=name) for name, call in LENGTHS_AND_N.items()]
+    + [
+        pytest.param(
+            lambda lengths, n: fd_matches_ud_condition(lengths), id="fd_matches_ud_condition"
+        ),
+        pytest.param(lambda lengths, n: as_profile(lengths), id="as_profile"),
+        pytest.param(lambda lengths, n: LengthProfile.from_lengths(lengths), id="from_lengths"),
+    ],
+)
+def test_every_entry_point_refuses_malformed_lengths(call, lengths, message):
+    call((1, 2, 2), 2)
+    with pytest.raises(CodesError) as info:
+        call(lengths, 2)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("cap", (1.5, None, True, "10"))

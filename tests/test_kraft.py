@@ -84,11 +84,12 @@ def test_canonical_keeps_raw_order():
 
 
 def test_lengths_at_keeps_raw_order():
-    """A sequence keeps its order, a profile expands sorted, and an
-    iterator is read once."""
+    """A sequence keeps its order, a profile comes back as itself and lays
+    out its words sorted, and an iterator is read once."""
     profile = LengthProfile.from_lengths((3, 2, 3))
     assert _lengths_at((3, 2, 3), 2) == ((3, 2, 3), profile, 8)
-    assert _lengths_at(profile, 2) == ((2, 3, 3), profile, 8)
+    assert _lengths_at(profile, 2)[0] is profile
+    assert canonical_prefix_code(profile, 2) == canonical_prefix_code((2, 3, 3), 2)
     assert _lengths_at(iter((3, 2, 3)), 2) == ((3, 2, 3), profile, 8)
     assert as_profile((3, 2, 3)) == as_profile((2, 3, 3))
 

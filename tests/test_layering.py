@@ -39,6 +39,19 @@ def package_imports(tree):
     return found
 
 
+def test_package_imports_only_the_standard_library():
+    """udcodes runs on a bare Python: it depends on nothing but the
+    standard library."""
+    imported = set()
+    for name in ("__init__",) + LAYERS:
+        for node in ast.walk(parse(name)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported <= sys.stdlib_module_names
+
+
 def test_every_module_has_a_layer():
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     assert modules == set(LAYERS)

@@ -300,6 +300,22 @@ def test_word_ordering_by_symbols():
             lambda: count_anchored_prefix_codes((1, 2, 2), 2, None, 2),
             "both None and 2 must be length values of the profile",
         ),
+        (
+            lambda: theorem1_bound((2, 3, 3), 2, 2, 3, ud_count=True),
+            "ud_count must be an integer >= 0, got True",
+        ),
+        (
+            lambda: theorem1_bound((2, 3, 3), 2, 2, 3, ud_count=-5),
+            "ud_count must be an integer >= 0, got -5",
+        ),
+        (
+            lambda: theorem1_bound((2, 3, 3), 2, 2, 3, ud_count=1.5),
+            "ud_count must be an integer >= 0, got 1.5",
+        ),
+        (
+            lambda: theorem1_bound((2, 3, 3), 2, 2, 3, ud_count="180"),
+            "ud_count must be an integer >= 0, got '180'",
+        ),
     ),
 )
 def test_refused_construction_messages(build, message):
