@@ -18,9 +18,9 @@ from .kraft import (
     _is_length_value,
     _lengths_at,
     _one_long_multiple,
+    _require_feasible,
     count_prefix_codes,
     fd_matches_ud_condition,
-    kraft_sum,
 )
 from .words import (
     Alphabet,
@@ -131,14 +131,18 @@ def universe_size(profile: ProfileLike, n: int) -> int:
     return n ** _lengths_at(profile, n)[2]
 
 
+def _check_cap(cap: int) -> None:
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise CodesError(f"the universe cap must be an integer, got {decimal_repr(cap)}")
+
+
 def _within_cap(
     lengths: ProfileLike, n: int, cap: int
 ) -> tuple[tuple[int, ...], LengthProfile, int]:
     """The (lengths, n) check, then the cap on the whole universe, before
     any code: the raw lengths (sorted for a profile), profile, universe size."""
     raw, profile, length_sum = _lengths_at(lengths, n)
-    if isinstance(cap, bool) or not isinstance(cap, int):
-        raise CodesError(f"the universe cap must be an integer, got {decimal_repr(cap)}")
+    _check_cap(cap)
     total = n**length_sum
     if total > cap:
         raise UniverseTooLarge(total, cap)
@@ -317,7 +321,7 @@ def theorem1_bound(
     ``ud_count`` (say, by a census the caller already ran), or else from a
     closed form or a desk-scale enumeration; it is never estimated.
     """
-    _, p, _ = _lengths_at(profile, n)
+    _, p, length_sum = _lengths_at(profile, n)
     if p.is_constant:
         raise CodesError("the bound needs two distinct length values; profile is constant")
     if a == b or not (_is_length_value(p, a) and _is_length_value(p, b)):
@@ -328,10 +332,16 @@ def theorem1_bound(
     _require_feasible(p, n)
     if ud_count is not None and not _int_at_least(ud_count, 0):
         raise CodesError(f"ud_count must be an integer >= 0, got {decimal_repr(ud_count)}")
+    _check_cap(enumeration_cap)
+    pr = count_prefix_codes(p, n).count
+    if ud_count is not None and not pr <= ud_count <= n**length_sum:  # PR <= UD <= all
+        raise CodesError(
+            f"ud_count must lie between the prefix count {decimal_text(pr)} and the "
+            f"universe size {decimal_text(n**length_sum)}, got {decimal_text(ud_count)}"
+        )
     r_a = p.multiplicity(a)
     r_b = p.multiplicity(b)
     lower = 1 + Fraction(r_a * r_b, count_pr_pair(a, b, n))
-    pr = count_prefix_codes(p, n).count
 
     ud = ud_count
     if ud is None:
@@ -349,25 +359,13 @@ def theorem1_bound(
     return BoundReport(p, n, a, b, lower, pr, ud, ratio, satisfied)
 
 
-def _require_feasible(p: LengthProfile, n: int, consequence: str = "") -> None:
-    s = kraft_sum(p, n)
-    if s > 1:
-        raise CodesError(
-            f"no uniquely decodable code with these lengths exists at alphabet "
-            f"size {decimal_text(n)} (Kraft sum {decimal_text(s)} exceeds 1){consequence}"
-        )
-
-
-_VACUOUS = ", so the equality question is vacuous"
-
-
 def is_pr_eq_ud(profile: ProfileLike, n: int) -> bool:
     """True iff every uniquely decodable code with these lengths is a prefix
     code; holds exactly for constant profiles.  The criterion itself does not
     depend on n, but feasibility at n is required for the question to be
     about a non-empty class."""
     _, p, _ = _lengths_at(profile, n)
-    _require_feasible(p, n, _VACUOUS)
+    _require_feasible(p, n)
     return p.is_constant
 
 
@@ -375,5 +373,5 @@ def is_fd_eq_ud(profile: ProfileLike, n: int) -> bool:
     """True iff every uniquely decodable code with these lengths has finite
     delay; see fd_matches_ud_condition for the structural criterion."""
     _, p, _ = _lengths_at(profile, n)
-    _require_feasible(p, n, _VACUOUS)
+    _require_feasible(p, n)
     return fd_matches_ud_condition(p)

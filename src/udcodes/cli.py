@@ -48,6 +48,7 @@ from .kraft import (
 from .words import (
     CodeFileError,
     CodesError,
+    as_profile,
     code_to_text,
     decimal_text,
     parse_code_file,
@@ -89,12 +90,9 @@ def _decimal_arg(text: str) -> int:
 
 def _parse_lengths(text: str) -> tuple[int, ...]:
     try:
-        lengths = _decimal_list(text)
+        return _decimal_list(text)
     except ValueError:
         raise CodesError(f"--lengths expects comma-separated integers, got {text!r}") from None
-    if any(a < 1 for a in lengths):
-        raise CodesError(f"--lengths values must be positive, got {text!r}")
-    return lengths
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -256,6 +254,7 @@ def _read_suite(path: str) -> tuple[tuple[int, ...], ...]:
         line = raw.split("#", 1)[0].strip()
         if line:
             rows.append(_parse_lengths(line))
+            as_profile(rows[-1])  # a bad row is refused before any check runs
     return tuple(rows)
 
 

@@ -13,6 +13,8 @@ Every function of the package that takes lengths and an alphabet size
 checks them through _lengths_at: the alphabet, then the lengths, then the
 MAX_POWER_BITS bound on n^(sum of lengths), before any power is built.  Only
 the layout of words (_arrange, census._within_cap) expands a LengthProfile.
+A Kraft sum above 1 leaves no uniquely decodable code: _require_feasible then
+refuses each construction, theorem1_bound and both equality predicates.
 
 All counting is exact big-integer / rational arithmetic; nothing here ever
 touches floating point.
@@ -86,6 +88,15 @@ def kraft_sum(profile: ProfileLike, n: int) -> Fraction:
 def is_feasible(profile: ProfileLike, n: int) -> bool:
     """True iff some uniquely decodable code has these lengths (sum <= 1)."""
     return kraft_sum(profile, n) <= 1
+
+
+def _require_feasible(profile: LengthProfile, n: int) -> None:
+    s = kraft_sum(profile, n)
+    if s > 1:
+        raise CodesError(
+            f"no uniquely decodable code with these lengths exists at alphabet "
+            f"size {decimal_text(n)} (Kraft sum {decimal_text(s)} exceeds 1)"
+        )
 
 
 class KraftTrace(NamedTuple):
@@ -186,11 +197,7 @@ def _staged_prefix_code(
     v, the forced numerals of v are excluded, and so is the length-v prefix
     of every forced numeral of a longer length.  No forced word may be a
     prefix of another."""
-    s = kraft_sum(profile, n)
-    if s > 1:
-        raise ConstructionError(
-            f"no prefix code exists: Kraft sum {decimal_text(s)} exceeds 1"
-        )
+    _require_feasible(profile, n)
     chosen: Chosen = []
     words_at: dict[int, list[Word]] = {}
     for value, mult in zip(profile.values, profile.multiplicities):
@@ -413,11 +420,7 @@ def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, Infinite
             "delay (the lengths are constant, number at most two, or all but "
             "one share a value that divides the remaining one); no witness exists"
         )
-    s = kraft_sum(profile, n)
-    if s > 1:
-        raise CodesError(
-            f"no uniquely decodable code exists: Kraft sum {decimal_text(s)} exceeds 1"
-        )
+    _require_feasible(profile, n)
 
     a, b = profile.values[0], profile.values[1]
     r_b = profile.multiplicities[1]

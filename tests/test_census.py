@@ -343,6 +343,15 @@ def test_every_entry_point_refuses_malformed_lengths(call, lengths, message):
             lambda cap: theorem1_bound((2, 3, 4), 2, 2, 3, enumeration_cap=cap),
             id="theorem1_bound",
         ),
+        # the cap is checked on every call, not only when it enumerates
+        pytest.param(
+            lambda cap: theorem1_bound((2, 3, 3), 2, 2, 3, enumeration_cap=cap),
+            id="theorem1_bound-closed-form",
+        ),
+        pytest.param(
+            lambda cap: theorem1_bound((2, 3, 4), 2, 2, 3, enumeration_cap=cap, ud_count=240),
+            id="theorem1_bound-ud_count",
+        ),
         pytest.param(lambda cap: enumerate_codes((2, 3), 2, cap=cap), id="enumerate_codes"),
         pytest.param(
             lambda cap: write_classification_csv((2, 3), 2, io.StringIO(), cap=cap),
@@ -383,12 +392,6 @@ def test_a_cap_that_is_not_an_int_is_refused(call, cap):
             r"\(Kraft sum \d{6021}/\d{6021} exceeds 1\)$",
             id="theorem1-bound-infeasible",
         ),
-        pytest.param(
-            lambda: is_pr_eq_ud((1, 1, 1, 20000), 2),
-            CodesError,
-            r"\(Kraft sum \d{6021}/\d{6021} exceeds 1\), so the equality question is vacuous$",
-            id="is-pr-eq-ud-infeasible",
-        ),
     ],
 )
 def test_refusals_render_numbers_of_any_length(default_digit_limit, call, error, message):
@@ -396,6 +399,12 @@ def test_refusals_render_numbers_of_any_length(default_digit_limit, call, error,
     int-to-str digit limit, and raises its own error type."""
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("ud_count,ratio", [(240, Fraction(1)), (512, Fraction(32, 15))])
+def test_a_ud_count_from_the_prefix_count_to_the_universe_is_accepted(ud_count, ratio):
+    # (2, 3, 4) at n = 2 has 240 prefix codes in a universe of 2^9 = 512
+    assert theorem1_bound((2, 3, 4), 2, 2, 3, ud_count=ud_count).ratio == ratio
 
 
 def test_bound_without_an_enumerable_universe_has_no_ud_count(default_digit_limit):
@@ -431,13 +440,6 @@ def test_is_fd_eq_ud():
     assert is_fd_eq_ud((1, 1, 2), 3)
     assert not is_fd_eq_ud((2, 2, 3), 2)
     assert not is_fd_eq_ud((2, 3, 3), 2)
-
-
-def test_equality_questions_vacuous_when_infeasible():
-    with pytest.raises(CodesError, match="vacuous"):
-        is_pr_eq_ud((1, 1, 2), 2)
-    with pytest.raises(CodesError, match="vacuous"):
-        is_fd_eq_ud((1, 1, 1), 2)
 
 
 @pytest.mark.parametrize(

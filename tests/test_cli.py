@@ -488,6 +488,44 @@ def test_classify_all_refusal_leaves_the_file_alone(tmp_path, monkeypatch, lengt
     assert target.read_bytes() == b"keep me"
 
 
+LENGTH_BELOW_1 = "length values must be positive integers, got 0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--lengths", "2,0", "--alphabet", "2"),
+        ("witness", "--kind", "prefix", "--lengths", "2,0", "--alphabet", "2"),
+    ],
+)
+def test_a_length_below_1_gets_the_library_message(argv):
+    rc, payload = run_json(*argv)
+    assert rc == 2
+    assert payload["error"]["message"] == LENGTH_BELOW_1
+
+
+def test_classify_all_refuses_a_length_below_1_without_a_file(tmp_path):
+    target = tmp_path / "rows.csv"
+    rc, payload = run_json(
+        "classify-all", "--lengths", "2,0", "--alphabet", "2", "--output", str(target)
+    )
+    assert rc == 2
+    assert payload["error"]["message"] == LENGTH_BELOW_1
+    assert not target.exists()
+
+
+def test_verify_refuses_a_suite_row_below_1_before_any_check(tmp_path, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "_verify_profile", forbidden)
+    suite = tmp_path / "suite.txt"
+    suite.write_text("1,2\n0\n")
+    rc, payload = run_json("verify", "--suite", str(suite), "--alphabet-max", "2")
+    assert rc == 2
+    assert payload["error"]["message"] == LENGTH_BELOW_1
+
+
 def digits(power):
     """Decimal digit count of 2**power, without rendering it."""
     return math.floor(power * math.log10(2)) + 1

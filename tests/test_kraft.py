@@ -1,11 +1,20 @@
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udcodes.census import (
+    CodeCounts,
+    census,
+    closed_form_counts,
+    is_fd_eq_ud,
+    is_pr_eq_ud,
+    theorem1_bound,
+)
 from udcodes.decide import delay_analysis, is_prefix_code, sardinas_patterson
 from udcodes.kraft import (
     ConstructionError,
@@ -15,6 +24,7 @@ from udcodes.kraft import (
     canonical_prefix_code,
     count_anchored_prefix_codes,
     count_prefix_codes,
+    fd_matches_ud_condition,
     infinite_delay_witness,
     is_feasible,
     kraft_sum,
@@ -99,16 +109,6 @@ def test_canonical_is_a_prefix_code():
         c = canonical_prefix_code(lengths, 2)
         assert is_prefix_code(c)
         assert c.lengths == lengths
-
-
-def test_canonical_infeasible_cites_kraft_sum():
-    with pytest.raises(ConstructionError, match="5/4"):
-        canonical_prefix_code((1, 1, 2), 2)
-
-
-def test_canonical_infeasible_cites_a_kraft_sum_of_any_length(default_digit_limit):
-    with pytest.raises(ConstructionError, match=r"Kraft sum \d{6021}/\d{6021} exceeds 1$"):
-        canonical_prefix_code((1, 1, 1, 20000), 2)
 
 
 def test_anchored_family_count():
@@ -211,14 +211,55 @@ def test_infinite_delay_witness_checks_condition_before_kraft():
         infinite_delay_witness((1, 1, 2), 2)
 
 
-def test_infinite_delay_witness_infeasible():
-    with pytest.raises(CodesError, match="Kraft sum 11/8"):
-        infinite_delay_witness((1, 1, 2, 3), 2)
+# Every entry point that refuses lengths with no uniquely decodable code,
+# called with the length values 1 and 2 where it takes two.
+KRAFT_REFUSING = {
+    "canonical_prefix_code": canonical_prefix_code,
+    "anchored_prefix_code": lambda lengths, n: anchored_prefix_code(lengths, n, 1, 2),
+    "ud_nonprefix_witness": ud_nonprefix_witness,
+    "infinite_delay_witness": infinite_delay_witness,
+    "theorem1_bound": lambda lengths, n: theorem1_bound(lengths, n, 1, 2),
+    "is_pr_eq_ud": is_pr_eq_ud,
+    "is_fd_eq_ud": is_fd_eq_ud,
+}
+CENSUS_MODES = ("formula", "enumeration", "both")
 
 
-def test_infinite_delay_witness_infeasible_cites_a_kraft_sum_of_any_length(default_digit_limit):
-    with pytest.raises(CodesError, match=r"Kraft sum \d{6021}/\d{6021} exceeds 1$"):
-        infinite_delay_witness((1, 1, 2, 20000), 2)
+@pytest.mark.parametrize(
+    "lengths,kraft,closed,modes",
+    [
+        # infinite_delay_witness refuses this shape before it reads the Kraft sum
+        pytest.param((1, 1, 2), "5/4", CodeCounts(0, 0), CENSUS_MODES, id="5/4"),
+        pytest.param((1, 1, 2, 3), "11/8", None, CENSUS_MODES, id="11/8"),
+        pytest.param(
+            (1, 1, 2, 20000), r"\d{6021}/\d{6021}", None, ("formula",), id="any-length"
+        ),
+    ],
+)
+def test_one_kraft_refusal(default_digit_limit, lengths, kraft, closed, modes):
+    """Lengths with a Kraft sum above 1 are refused with one message and a
+    plain CodesError by every entry point that asks for a code of them, while
+    the counts of the empty classes are 0."""
+    messages = set()
+    for name, call in KRAFT_REFUSING.items():
+        if name == "infinite_delay_witness" and fd_matches_ud_condition(lengths):
+            continue
+        with pytest.raises(CodesError) as info:
+            call(lengths, 2)
+        assert type(info.value) is CodesError, name
+        messages.add(str(info.value))
+    (message,) = messages
+    assert re.fullmatch(
+        "no uniquely decodable code with these lengths exists at alphabet size 2 "
+        rf"\(Kraft sum {kraft} exceeds 1\)",
+        message,
+    )
+    assert count_prefix_codes(lengths, 2).count == 0
+    assert count_anchored_prefix_codes(lengths, 2, 1, 2).count == 0
+    assert closed_form_counts(lengths, 2) == closed
+    for mode in modes:
+        report = census(lengths, 2, mode=mode)
+        assert (report.pr, report.fd, report.ud) == (0, 0, 0), mode
 
 
 def test_witness_spec_validation():
@@ -248,7 +289,7 @@ def test_canonical_matches_count(lengths, n):
         assert is_prefix_code(c)
         assert c.lengths == tuple(lengths)
     else:
-        with pytest.raises(ConstructionError):
+        with pytest.raises(CodesError, match=r"exceeds 1\)$"):
             canonical_prefix_code(lengths, n)
 
 
@@ -259,19 +300,20 @@ def test_profile_arguments_accepted():
 
 
 # SHA-256 of every construction's outcome, recorded before the prefix
-# constructions shared one builder.  The sweep covers every ordered length
-# sequence of 1 to 4 words of lengths 1..5; `anchored_prefix_code` runs on
-# every pair a < b of its length values with every zero_word_length, valid
-# or not.  An outcome is the code's texts (and the witness spec), or the
+# constructions shared one builder, and again when the Kraft refusal took one
+# wording (every other line of the sweep kept its bytes).  The sweep covers
+# every ordered length sequence of 1 to 4 words of lengths 1..5;
+# `anchored_prefix_code` runs on every pair a < b of its length values with
+# every zero_word_length, valid or not.  An outcome is the code's texts (and the witness spec), or the
 # error's type, message and stage.
 CONSTRUCTION_SHA256 = {
-    ("canonical", 2): "855f9ed8db3dd72d4c50488b095756c8f270aea49801a628993c8e84a066afb5",
-    ("canonical", 3): "a3f1414bba80af1bced6f390255c5985808b38aa74a0f31ab57fd099e670b428",
-    ("anchored", 2): "47766b941ac5f091886d98e3c1f8499ed322f1621cee21f7fb223f468465e438",
-    ("anchored", 3): "06a574b6631efe82520884579ef3f969dcec5e75b7e2b1497cc8bad8e4afe854",
-    ("nonprefix", 2): "c1d38dbd2e946dc8801e45ddf9cc2b3e47ba5cf88b5293257d4e69051dfb1330",
-    ("nonprefix", 3): "4cb183842246d9b0bee425533247def36afc2a9ced5d7c7da26983e8db4c6c8e",
-    ("infinite", 2): "1f9c790d0f15a15e9f11f44ab3e256687dceaf4761ea120a4822bac7df737b81",
+    ("canonical", 2): "c83e8e77d98101fdeb311330ea8b611703b5dd83da8f2c31d43790c2c9bb206f",
+    ("canonical", 3): "227b743edffaa8c50ac935c58a330e98953fa0d377c81f12c6eb84dcba665e21",
+    ("anchored", 2): "9355d33aa813e9c1497c612bad7d67176f6c29975f7c166c5afbb95746141ba2",
+    ("anchored", 3): "bfb3893ad3f425995b0c3f8774a557d3a17709099797f3d0b67cf04f8a38862d",
+    ("nonprefix", 2): "585153a57c98477fe3925c1a07c5ff64d20ad59636230658175c1515ba11e21d",
+    ("nonprefix", 3): "57f4d572b5042446c0c623031d88a795992156deb031bde39804c88b47275a69",
+    ("infinite", 2): "92c8c42c852ed93a10e6e9864e77c523730ccb26d605fb840846117600019f2d",
     ("infinite", 3): "30ca65531eac8a8e09ac606ce918fc2e8f3b7e0c57e12396915d3146bba20c1c",
 }
 

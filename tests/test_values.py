@@ -316,6 +316,15 @@ def test_word_ordering_by_symbols():
             lambda: theorem1_bound((2, 3, 3), 2, 2, 3, ud_count="180"),
             "ud_count must be an integer >= 0, got '180'",
         ),
+        (
+            lambda: theorem1_bound((2, 3, 4), 2, 2, 3, ud_count=5),
+            "ud_count must lie between the prefix count 240 and the universe size 512, got 5",
+        ),
+        (
+            lambda: theorem1_bound((2, 3, 4), 2, 2, 3, ud_count=10**9),
+            "ud_count must lie between the prefix count 240 and the universe size 512, "
+            "got 1000000000",
+        ),
     ),
 )
 def test_refused_construction_messages(build, message):
