@@ -392,6 +392,12 @@ def test_a_cap_that_is_not_an_int_is_refused(call, cap):
             r"\(Kraft sum \d{6021}/\d{6021} exceeds 1\)$",
             id="theorem1-bound-infeasible",
         ),
+        pytest.param(
+            lambda: is_pr_eq_ud((1, 1, 1, 20000), 2),
+            CodesError,
+            r"\(Kraft sum \d{6021}/\d{6021} exceeds 1\)$",
+            id="is-pr-eq-ud-infeasible",
+        ),
     ],
 )
 def test_refusals_render_numbers_of_any_length(default_digit_limit, call, error, message):
@@ -440,6 +446,14 @@ def test_is_fd_eq_ud():
     assert is_fd_eq_ud((1, 1, 2), 3)
     assert not is_fd_eq_ud((2, 2, 3), 2)
     assert not is_fd_eq_ud((2, 3, 3), 2)
+
+
+def test_equality_questions_vacuous_when_infeasible():
+    # with no uniquely decodable code there is no class to compare: refused
+    with pytest.raises(CodesError, match=r"\(Kraft sum 5/4 exceeds 1\)$"):
+        is_pr_eq_ud((1, 1, 2), 2)
+    with pytest.raises(CodesError, match=r"\(Kraft sum 3/2 exceeds 1\)$"):
+        is_fd_eq_ud((1, 1, 1), 2)
 
 
 @pytest.mark.parametrize(

@@ -111,6 +111,16 @@ def test_canonical_is_a_prefix_code():
         assert c.lengths == lengths
 
 
+def test_canonical_infeasible_cites_kraft_sum():
+    with pytest.raises(CodesError, match=r"\(Kraft sum 5/4 exceeds 1\)$"):
+        canonical_prefix_code((1, 1, 2), 2)
+
+
+def test_canonical_infeasible_cites_a_kraft_sum_of_any_length(default_digit_limit):
+    with pytest.raises(CodesError, match=r"\(Kraft sum \d{6021}/\d{6021} exceeds 1\)$"):
+        canonical_prefix_code((1, 1, 1, 20000), 2)
+
+
 def test_anchored_family_count():
     fam = count_anchored_prefix_codes((2, 3, 3), 2, 2, 3)
     assert fam.count == 10
@@ -209,6 +219,11 @@ def test_infinite_delay_witness_checks_condition_before_kraft():
     # (1,1,2) is infeasible at n=2, but the structural answer comes first
     with pytest.raises(CodesError, match="finite delay"):
         infinite_delay_witness((1, 1, 2), 2)
+
+
+def test_infinite_delay_witness_infeasible_cites_a_kraft_sum_of_any_length(default_digit_limit):
+    with pytest.raises(CodesError, match=r"\(Kraft sum \d{6021}/\d{6021} exceeds 1\)$"):
+        infinite_delay_witness((1, 1, 2, 20000), 2)
 
 
 # Every entry point that refuses lengths with no uniquely decodable code,
