@@ -28,6 +28,7 @@ from .words import (
     LengthProfile,
     ProfileLike,
     _int_at_least,
+    as_profile,
     decimal_repr,
     decimal_str,
     decimal_text,
@@ -41,17 +42,8 @@ class CodeCounts(NamedTuple):
     pr: int
 
 
-def _check_lengths(a: int, b: int) -> None:
-    """Refuse the lengths a and b unless both are ints, not bools, >= 1."""
-    if (isinstance(a, Real) and a < 1) or (isinstance(b, Real) and b < 1):
-        raise CodesError(f"lengths must be >= 1, got a={decimal_str(a)}, b={decimal_str(b)}")
-    if not (_int_at_least(a, 1) and _int_at_least(b, 1)):
-        raise CodesError(f"lengths must be integers, got a={decimal_str(a)}, b={decimal_str(b)}")
-
-
 def count_pr_pair(a: int, b: int, n: int) -> int:
     """Number of two-word prefix codes with lengths (a, b): n^(a+b) - n^max(a,b)."""
-    _check_lengths(a, b)
     _lengths_at((a, b), n)
     return n ** (a + b) - n ** max(a, b)
 
@@ -82,7 +74,7 @@ def count_all_a_then_b(n: int, m: int, a: int, b: int) -> CodeCounts:
         raise CodesError(f"need at least two words, got m={decimal_str(m)}")
     if not _int_at_least(m, 2):
         raise CodesError(f"the number of words must be an integer, got m={decimal_str(m)}")
-    _check_lengths(a, b)
+    as_profile((a, b))
     if b % a != 0:
         raise CodesError(
             f"the closed form requires the short length to divide the long "

@@ -14,11 +14,12 @@ Exit status: 0 ok, 1 verification discrepancy, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import IO, Any, Optional
+from typing import IO, Any, Iterator, Optional
 
 from .census import (
     DEFAULT_UNIVERSE_CAP,
@@ -27,6 +28,7 @@ from .census import (
     is_fd_eq_ud,
     is_pr_eq_ud,
     theorem1_bound,
+    universe_size,
 )
 from .decide import DelayReport, SPTrace, classify, delay_analysis, sardinas_patterson
 from .enumeration import (
@@ -48,7 +50,6 @@ from .kraft import (
 from .words import (
     CodeFileError,
     CodesError,
-    as_profile,
     code_to_text,
     decimal_text,
     parse_code_file,
@@ -199,15 +200,15 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
     lengths = _parse_lengths(args.lengths)
     n = args.alphabet
     mode = {"enumerate": "enumeration"}.get(args.method, args.method)
-    report = census(lengths, n, mode=mode, cap=cap)
-    results: dict = {
-        "kraft_sum": kraft_sum(lengths, n),
-        "feasible": is_feasible(lengths, n),
-        "census": {k: v for k, v in report._asdict().items() if k not in ("profile", "n")},
-    }
+    # the (lengths, n) refusals, then the pair's, before the census
+    results: dict = {"kraft_sum": kraft_sum(lengths, n), "feasible": is_feasible(lengths, n)}
+    family = None
     if args.anchored is not None:
-        a, b = _parse_pair(args.anchored)
-        family = count_anchored_prefix_codes(lengths, n, a, b)
+        family = count_anchored_prefix_codes(lengths, n, *_parse_pair(args.anchored))
+    report = census(lengths, n, mode=mode, cap=cap)
+    results["census"] = {k: v for k, v in report._asdict().items() if k not in ("profile", "n")}
+    if family is not None:
+        a, b = family.a, family.b
         bound = theorem1_bound(lengths, n, a, b, enumeration_cap=cap, ud_count=report.ud)
         results["anchored"] = {
             "a": a,
@@ -254,75 +255,66 @@ def _read_suite(path: str) -> tuple[tuple[int, ...], ...]:
         line = raw.split("#", 1)[0].strip()
         if line:
             rows.append(_parse_lengths(line))
-            as_profile(rows[-1])  # a bad row is refused before any check runs
     return tuple(rows)
 
 
 ORACLE_UNIVERSE_LIMIT = 10**4
 
 
-def _verify_profile(lengths: tuple[int, ...], n: int, cap: int, checks: list) -> bool:
-    """Append the checks of one profile at alphabet size n; False when its
-    universe is above the cap and only a skip record was appended."""
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(
-            {
-                "profile": ",".join(str(a) for a in lengths),
-                "n": n,
-                "check": name,
-                "ok": ok,
-                "detail": detail,
-            }
-        )
+def _visits(suite: tuple[tuple[int, ...], ...], alphabet_max: int, cap: int) -> Iterator:
+    """(lengths, n, universe) for each row at n = 2, 3, ..., alphabet_max, up
+    to and including the first n whose universe is above the cap: the
+    universe n^(sum of lengths) only grows with n.  universe_size refuses a
+    malformed row or an oversized power."""
+    for lengths in suite:
+        for n in range(2, alphabet_max + 1):
+            universe = universe_size(lengths, n)
+            yield lengths, n, universe
+            if universe > cap:
+                break
 
-    try:
-        report = census(lengths, n, mode="both", cap=cap)
-    except UniverseTooLarge as exc:
-        record(
-            "census-cross-check", True, f"skipped: universe {decimal_text(exc.total)} above cap"
-        )
-        return False
-    record(
-        "census-cross-check",
-        not report.discrepancies,
-        "; ".join(report.discrepancies),
-    )
+
+def _verify_profile(lengths: tuple[int, ...], n: int, universe: int, cap: int) -> Iterator:
+    """The checks of one profile at alphabet size n, as (check, ok, detail);
+    only a skip record when its universe is above the cap."""
+    if universe > cap:
+        yield "census-cross-check", True, f"skipped: universe {decimal_text(universe)} above cap"
+        return
+    report = census(lengths, n, mode="both", cap=cap)
+    yield "census-cross-check", not report.discrepancies, "; ".join(report.discrepancies)
 
     if is_feasible(lengths, n):
         pr_eq = is_pr_eq_ud(lengths, n)
-        record(
+        yield (
             "pr-eq-ud-predicate",
             pr_eq == (report.pr == report.ud),
             f"predicate {pr_eq}, counts pr={report.pr} ud={report.ud}",
         )
         fd_eq = is_fd_eq_ud(lengths, n)
-        record(
+        yield (
             "fd-eq-ud-predicate",
             fd_eq == (report.fd == report.ud),
             f"predicate {fd_eq}, counts fd={report.fd} ud={report.ud}",
         )
-        profile = set(lengths)
-        if len(profile) > 1:
+        if not report.profile.is_constant:
             witness = ud_nonprefix_witness(lengths, n)
             c = classify(witness)
-            record(
+            yield (
                 "ud-nonprefix-witness",
                 c.ud and not c.prefix and witness.lengths == lengths,
                 ",".join(witness.texts()),
             )
-            values = sorted(profile)
-            for i, a in enumerate(values):
-                for b in values[i + 1 :]:
-                    bound = theorem1_bound(lengths, n, a, b, ud_count=report.ud)
-                    record(
-                        "ratio-bound",
-                        bound.satisfied is not False,
-                        f"a={a} b={b} lower={bound.lower_bound} ratio={bound.ratio}",
-                    )
+            for a, b in itertools.combinations(report.profile.values, 2):
+                bound = theorem1_bound(lengths, n, a, b, ud_count=report.ud)
+                yield (
+                    "ratio-bound",
+                    bound.satisfied is not False,
+                    f"a={a} b={b} lower={bound.lower_bound} ratio={bound.ratio}",
+                )
         if not fd_eq:
             code, spec = infinite_delay_witness(lengths, n)
             c = classify(code)
-            record(
+            yield (
                 "infinite-delay-witness",
                 c.ud and not c.finite_delay and code.lengths == lengths,
                 f"case {spec.case}: " + ",".join(code.texts()),
@@ -341,12 +333,11 @@ def _verify_profile(lengths: tuple[int, ...], n: int, cap: int, checks: list) ->
             if not ok:
                 disagreements += 1
                 sample = sample or ",".join(code.texts())
-        record(
+        yield (
             "oracle-agreement",
             disagreements == 0,
             f"{disagreements} disagreements" + (f", first {sample}" if sample else ""),
         )
-    return True
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
@@ -358,11 +349,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         )
     if not suite:
         raise CodesError(f"suite file {args.suite!r} holds no length sequence")
-    checks: list = []
-    for lengths in suite:
-        for n in range(2, args.alphabet_max + 1):
-            if not _verify_profile(lengths, n, cap, checks):
-                break  # the universe n^(sum of lengths) only grows with n
+    for _ in _visits(suite, args.alphabet_max, cap):
+        pass  # every row and power is refused before the first check
+    checks = [
+        {"profile": ",".join(map(str, lengths)), "n": n, "check": name, "ok": ok, "detail": detail}
+        for lengths, n, universe in _visits(suite, args.alphabet_max, cap)
+        for name, ok, detail in _verify_profile(lengths, n, universe, cap)
+    ]
     failures = [c for c in checks if not c["ok"]]
     results = {
         "checks_run": len(checks),

@@ -83,7 +83,7 @@ def write_classification_csv(
     No field needs quoting (glyphs, ';', true/false and digits), so a row is
     the code's text and one cached string per classification, and rows are
     written in chunks."""
-    lengths, _, total = _within_cap(profile, n, cap)
+    lengths, p, total = _within_cap(profile, n, cap)
     if n > len(GLYPHS):
         raise CodesError(
             f"alphabet of size {decimal_text(n)} exceeds the {len(GLYPHS)}-letter text form"
@@ -100,8 +100,8 @@ def write_classification_csv(
     # radix of that length and the place value of each of its positions.
     groups = [
         (n**v, [n ** sum(lengths[j + 1 :]) for j in range(len(lengths)) if lengths[j] == v])
-        for v in sorted(set(lengths))
-        if lengths.count(v) > 1
+        for v, r in zip(p.values, p.multiplicities)
+        if r > 1
     ]
     width = _letter_width(n)
     ids = array.array("H", [0]) * total

@@ -370,14 +370,14 @@ class InfiniteDelayWitnessSpec(_WitnessCase):
     def __new__(cls, case: str, a: int, b: int, remainder: Optional[int], quotient: Optional[int]):
         if case not in ("rb-many", "three-values", "two-values"):
             raise CodesError(f"unknown witness case {case!r}")
-        if not 0 < a < b:
+        if not (_int_at_least(a, 1) and _int_at_least(b, a + 1)):
             raise CodesError(
                 f"witness needs 0 < a < b, got a={decimal_str(a)}, b={decimal_str(b)}"
             )
         if case == "two-values":
-            if remainder is None or not 0 < remainder < a:
+            if not (_int_at_least(remainder, 1) and remainder < a):
                 raise CodesError("two-values witness needs 0 < remainder < a")
-            if (remainder, quotient) != ((b - a) % a, (b - a) // a):
+            if not _int_at_least(quotient, 0) or (quotient, remainder) != divmod(b - a, a):
                 raise CodesError(
                     "two-values witness needs remainder = (b - a) mod a and quotient = (b - a) // a"
                 )

@@ -47,7 +47,7 @@ def test_count_pr_pair():
 
 
 def test_count_pr_pair_refuses_a_length_below_1():
-    with pytest.raises(CodesError, match="lengths must be >= 1, got a=0, b=2"):
+    with pytest.raises(CodesError, match="length values must be positive integers, got 0"):
         count_pr_pair(0, 2, 2)
 
 

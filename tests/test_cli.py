@@ -526,6 +526,42 @@ def test_verify_refuses_a_suite_row_below_1_before_any_check(tmp_path, monkeypat
     assert payload["error"]["message"] == LENGTH_BELOW_1
 
 
+def test_verify_refuses_an_oversized_power_before_any_check(tmp_path, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "_verify_profile", forbidden)
+    suite = tmp_path / "suite.txt"
+    suite.write_text("1,2\n2000000\n")
+    rc, payload = run_json("verify", "--suite", str(suite), "--alphabet-max", "2")
+    assert rc == 2
+    assert payload["error"]["message"] == (
+        "lengths summing to 2000000 are refused at alphabet size 2: "
+        "2^2000000 may need more than 1048576 bits"
+    )
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    (
+        ("x", "--anchored expects two comma-separated lengths, got 'x'"),
+        ("2,9", "both 2 and 9 must be length values of the profile"),
+        ("5,3", "anchored family needs a < b, got a=5, b=3"),
+        ("2,3,4", "--anchored expects two comma-separated lengths, got '2,3,4'"),
+    ),
+)
+def test_count_refuses_a_bad_anchored_pair_before_its_census(monkeypatch, pair, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a census ran")
+
+    monkeypatch.setattr(cli, "census", forbidden)
+    rc, payload = run_json(
+        "count", "--lengths", "3,3,4,5,5", "--alphabet", "2", "--anchored", pair
+    )
+    assert rc == 2
+    assert payload["error"]["message"] == message
+
+
 def digits(power):
     """Decimal digit count of 2**power, without rendering it."""
     return math.floor(power * math.log10(2)) + 1

@@ -258,11 +258,63 @@ def test_word_ordering_by_symbols():
             lambda: InfiniteDelayWitnessSpec("rb-many", 3, 2, None, None),
             "witness needs 0 < a < b, got a=3, b=2",
         ),
-        (lambda: count_pr_pair(1.5, 2, 2), "lengths must be integers, got a=1.5, b=2"),
-        (lambda: count_pr_pair(True, 2, 2), "lengths must be integers, got a=True, b=2"),
-        (lambda: count_all_a_then_b(2, 3, 2, -2), "lengths must be >= 1, got a=2, b=-2"),
-        (lambda: count_all_a_then_b(2, 3, 0, 2), "lengths must be >= 1, got a=0, b=2"),
-        (lambda: count_all_a_then_b(2, 3, 1.0, 2), "lengths must be integers, got a=1.0, b=2"),
+        (
+            lambda: InfiniteDelayWitnessSpec("rb-many", True, 2, None, None),
+            "witness needs 0 < a < b, got a=True, b=2",
+        ),
+        (
+            lambda: InfiniteDelayWitnessSpec("three-values", 1, 2.0, None, None),
+            "witness needs 0 < a < b, got a=1, b=2.0",
+        ),
+        (
+            lambda: InfiniteDelayWitnessSpec("two-values", 2.0, 5.0, 1.0, 1.0),
+            "witness needs 0 < a < b, got a=2.0, b=5.0",
+        ),
+        pytest.param(
+            lambda: InfiniteDelayWitnessSpec("two-values", 2, 5, 1.0, 1),
+            "two-values witness needs 0 < remainder < a",
+            id="witness-remainder=1.0",
+        ),
+        pytest.param(
+            lambda: InfiniteDelayWitnessSpec("two-values", 2, 5, True, 1),
+            "two-values witness needs 0 < remainder < a",
+            id="witness-remainder=True",
+        ),
+        pytest.param(
+            lambda: InfiniteDelayWitnessSpec("two-values", 2, 5, 1, 1.0),
+            "two-values witness needs remainder = (b - a) mod a and quotient = (b - a) // a",
+            id="witness-quotient=1.0",
+        ),
+        pytest.param(
+            lambda: count_pr_pair(1.5, 2, 2),
+            "length values must be positive integers, got 1.5",
+            id="count_pr_pair-a=1.5",
+        ),
+        pytest.param(
+            lambda: count_pr_pair(True, 2, 2),
+            "length values must be positive integers, got True",
+            id="count_pr_pair-a=True",
+        ),
+        pytest.param(  # the alphabet is checked before the lengths
+            lambda: count_pr_pair(0, 1, 1),
+            "alphabet size must be an integer >= 2, got 1",
+            id="count_pr_pair-a=0-n=1",
+        ),
+        pytest.param(
+            lambda: count_all_a_then_b(2, 3, 2, -2),
+            "length values must be positive integers, got -2",
+            id="count_all_a_then_b-b=-2",
+        ),
+        pytest.param(
+            lambda: count_all_a_then_b(2, 3, 0, 2),
+            "length values must be positive integers, got 0",
+            id="count_all_a_then_b-a=0",
+        ),
+        pytest.param(
+            lambda: count_all_a_then_b(2, 3, 1.0, 2),
+            "length values must be positive integers, got 1.0",
+            id="count_all_a_then_b-a=1.0",
+        ),
         (
             lambda: count_all_a_then_b(2, 2.0, 1, 2),
             "the number of words must be an integer, got m=2.0",
@@ -287,7 +339,11 @@ def test_word_ordering_by_symbols():
             lambda: anchored_prefix_code((1, 2, 3), 2, 1, 2, 3.0),
             "zero_word_length must be a length value >= 2, got 3.0",
         ),
-        (lambda: count_pr_pair("x", 2, 2), "lengths must be integers, got a=x, b=2"),
+        pytest.param(
+            lambda: count_pr_pair("x", 2, 2),
+            "length values must be positive integers, got 'x'",
+            id="count_pr_pair-a=x",
+        ),
         (
             lambda: count_all_a_then_b(2, None, 1, 2),
             "the number of words must be an integer, got m=None",
@@ -341,8 +397,9 @@ HUGE_TEXT = "1" + "0" * 5000  # HUGE written out, with no int-to-str conversion
     "build, message",
     (
         pytest.param(
-            lambda: count_pr_pair(0, HUGE, 2),
-            f"lengths must be >= 1, got a=0, b={HUGE_TEXT}",
+            lambda: count_pr_pair(1, HUGE, 2),
+            f"lengths summing to {HUGE_TEXT[:-1]}1 are refused at alphabet size 2: "
+            f"2^{HUGE_TEXT[:-1]}1 may need more than 1048576 bits",
             id="count_pr_pair",
         ),
         pytest.param(
