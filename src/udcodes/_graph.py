@@ -1,9 +1,10 @@
-"""Tiny graph helpers for the delay analysis, which reads the cycle set of
-an ambiguity graph off them for its infinite-delay witness.  Each answer
-comes off one pass of Tarjan's strongly-connected-components algorithm:
-linear, and on an explicit stack, since an ambiguity graph can be deeper
-than Python's recursion limit.  The delay probe, the analysis' oracle, finds
-its cycles in its own walk and uses none of this."""
+"""Tiny graph helpers: the delay analysis reads an ambiguity graph's cycle
+set off cyclic_nodes for its infinite-delay witness, and topological_order
+serves only the tests and the benchmark's tracer.  Each answer comes off
+one pass of Tarjan's strongly-connected-components algorithm: linear, and
+on an explicit stack, since an ambiguity graph can be deeper than Python's
+recursion limit.  The delay probe, the analysis' oracle, finds its cycles
+in its own walk and uses none of this."""
 
 from __future__ import annotations
 

@@ -50,6 +50,8 @@ from .kraft import (
 from .words import (
     CodeFileError,
     CodesError,
+    _decimal_list,
+    _parse_suite,
     code_to_text,
     decimal_text,
     parse_code_file,
@@ -70,15 +72,6 @@ def _s(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_s(v) for v in value]
     raise TypeError(f"unexpected report value {value!r}")
-
-
-# Every number the CLI reads (options, suite-file lines, CODES_UNIVERSE_CAP)
-# is ASCII decimal digits after an optional minus sign, as in code files; in a
-# comma-separated list, blanks around each number are allowed.
-
-
-def _decimal_list(text: str) -> tuple[int, ...]:
-    return tuple(parse_decimal(part.strip(" \t")) for part in text.split(","))
 
 
 def _decimal_arg(text: str) -> int:
@@ -249,15 +242,6 @@ def cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
     return results, 0
 
 
-def _read_suite(path: str) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for raw in _read_ascii(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(_parse_lengths(line))
-    return tuple(rows)
-
-
 ORACLE_UNIVERSE_LIMIT = 10**4
 
 
@@ -342,7 +326,7 @@ def _verify_profile(lengths: tuple[int, ...], n: int, universe: int, cap: int) -
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     cap = _universe_cap()
-    suite = _read_suite(args.suite) if args.suite else BUILTIN_SUITE
+    suite = _parse_suite(_read_ascii(args.suite)) if args.suite else BUILTIN_SUITE
     if args.alphabet_max < 2:
         raise CodesError(
             f"--alphabet-max must be at least 2, got {decimal_text(args.alphabet_max)}"

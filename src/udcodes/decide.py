@@ -247,7 +247,7 @@ def _packed(code: Code) -> tuple[tuple[RawWord, ...], tuple[int, ...], int]:
 
 def _require_distinct(words: tuple[RawWord, ...]) -> None:
     if len(set(words)) != len(words):
-        raise CodesError("delay analysis needs pairwise distinct code words")
+        raise CodesError("the ambiguity graph needs pairwise distinct code words")
 
 
 def _explore(words: tuple[int, ...], stop_at_catch_up: bool = False):

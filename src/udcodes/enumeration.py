@@ -16,15 +16,14 @@ from typing import IO, Iterator, NamedTuple, Optional
 from .census import DEFAULT_UNIVERSE_CAP, _raw_pool, _within_cap, census
 from .decide import _IN_NO_CLASS, RawWord, _classes, _letter_width, _packed_pool, classify
 from .words import (
-    GLYPHS,
     Alphabet,
     Code,
     CodesError,
     ProfileLike,
     Word,
     _int_at_least,
+    _require_text_form,
     decimal_repr,
-    decimal_text,
 )
 
 # Length sequences exercised by the verify command; all enumerable at n <= 3.
@@ -84,14 +83,11 @@ def write_classification_csv(
     the code's text and one cached string per classification, and rows are
     written in chunks."""
     lengths, p, total = _within_cap(profile, n, cap)
-    if n > len(GLYPHS):
-        raise CodesError(
-            f"alphabet of size {decimal_text(n)} exceeds the {len(GLYPHS)}-letter text form"
-        )
+    _require_text_form(n)
     # tuples, which itertools.product keeps without a copy
     pools = [tuple(_packed_pool(length, n)) for length in lengths]
     texts = {
-        packed: "".join(GLYPHS[s] for s in w)
+        packed: Word(w).text()
         for length, pool in zip(lengths, pools)
         for packed, w in zip(pool, _raw_pool(length, n))
     }

@@ -1,9 +1,10 @@
-"""Alphabets, words, codes, and length profiles.
+"""Alphabets, words, codes, and length profiles, and their text formats.
 
 Words are sequences of letter indices drawn from an alphabet of size n >= 2.
 For text I/O the letters 0..n-1 render as the glyphs '0'-'9' then 'a'-'z',
 which caps the *parseable* alphabets at 36 letters; the in-memory
-representation has no such limit.
+representation has no such limit.  A code file is a header and one word per
+line, a suite file one comma-separated length sequence per line.
 
 A code is an ordered sequence of non-empty words.  Order matters: two codes
 with the same words in a different order are different codes.
@@ -35,7 +36,7 @@ class WordParseError(CodesError):
 
 
 class CodeFileError(CodesError):
-    """A code file is malformed; carries a 1-based line (and column) when known."""
+    """A code or suite file is malformed; carries a 1-based line (and column) when known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         super().__init__(message)
@@ -299,12 +300,16 @@ def as_profile(profile: ProfileLike) -> LengthProfile:
     return LengthProfile.from_lengths(profile)
 
 
-def parse_word(text: str, alphabet: Alphabet) -> Word:
-    if alphabet.size > len(GLYPHS):
+def _require_text_form(n: int) -> None:
+    """Refuse an alphabet size with more letters than glyphs."""
+    if n > len(GLYPHS):
         raise CodesError(
-            f"alphabet of size {decimal_text(alphabet.size)} exceeds the "
-            f"{len(GLYPHS)}-letter text form"
+            f"alphabet of size {decimal_text(n)} exceeds the {len(GLYPHS)}-letter text form"
         )
+
+
+def parse_word(text: str, alphabet: Alphabet) -> Word:
+    _require_text_form(alphabet.size)
     symbols = []
     for pos, ch in enumerate(text):
         idx = _GLYPH_INDEX.get(ch)
@@ -414,6 +419,14 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
 
 
+def _content_lines(lines: list[str], start: int) -> Iterator[tuple[int, str, str]]:
+    """(number, line, stripped text before any comment) of each line with such text."""
+    for lineno, raw in enumerate(lines, start):
+        content = _strip_comment(raw).strip()
+        if content:
+            yield lineno, raw, content
+
+
 def parse_code_file(text: str) -> Code:
     """Parse the code file format.
 
@@ -434,19 +447,13 @@ def parse_code_file(text: str) -> Code:
         raise CodeFileError(
             f"line 1: alphabet size {size!r} is not a decimal number", line=1
         ) from None
-    if n > len(GLYPHS):
-        raise CodeFileError(
-            f"line 1: alphabet size {decimal_text(n)} exceeds the {len(GLYPHS)}-letter text form",
-            line=1,
-        )
-    if n < 2:
-        raise CodeFileError(f"line 1: alphabet size must be >= 2, got {decimal_text(n)}", line=1)
-    alphabet = Alphabet(n)
+    try:
+        alphabet = Alphabet(n)
+        _require_text_form(n)
+    except CodesError as exc:
+        raise CodeFileError(f"line 1: {exc}", line=1) from None
     words = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        token = _strip_comment(raw).strip()
-        if not token:
-            continue
+    for lineno, raw, token in _content_lines(lines[1:], 2):
         try:
             words.append(parse_word(token, alphabet))
         except WordParseError as exc:
@@ -464,3 +471,21 @@ def code_to_text(code: Code) -> str:
     lines = [f"alphabet {decimal_text(code.alphabet.size)}"]
     lines.extend(w.text() for w in code.words)
     return "\n".join(lines)
+
+
+def _decimal_list(text: str) -> tuple[int, ...]:
+    """The numbers of a comma-separated list, read by parse_decimal; blanks may surround each."""
+    return tuple(parse_decimal(part.strip(" \t")) for part in text.split(","))
+
+
+def _parse_suite(text: str) -> tuple[tuple[int, ...], ...]:
+    """Parse the suite file format: one comma-separated length sequence per line."""
+    rows = []
+    for lineno, _, content in _content_lines(text.splitlines(), 1):
+        try:
+            rows.append(_decimal_list(content))
+        except ValueError:
+            raise CodeFileError(
+                f"line {lineno}: expected comma-separated integers, got {content!r}", line=lineno
+            ) from None
+    return tuple(rows)

@@ -526,6 +526,24 @@ def test_verify_refuses_a_suite_row_below_1_before_any_check(tmp_path, monkeypat
     assert payload["error"]["message"] == LENGTH_BELOW_1
 
 
+def test_verify_refuses_a_malformed_suite_row_with_its_line(tmp_path, monkeypatch):
+    """A suite row that is no comma-separated list is refused as a code file
+    line is, with its line number, before any check."""
+
+    def forbidden(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "_verify_profile", forbidden)
+    suite = tmp_path / "suite.txt"
+    suite.write_text("2,3,3\n1,x\n")
+    rc, payload = run_json("verify", "--suite", str(suite))
+    assert rc == 2
+    error = payload["error"]
+    assert error["line"] == "2"
+    assert error["message"].startswith("line 2:")
+    assert "--lengths" not in error["message"]
+
+
 def test_verify_refuses_an_oversized_power_before_any_check(tmp_path, monkeypatch):
     def forbidden(*args):
         raise AssertionError("a check ran")
@@ -684,13 +702,13 @@ HUGE_NUMBER_RUNS = [
         None,
         ["check", "huge-alphabet.txt"],
         2,
-        "50450cbd21a31e52660237abeebbada66ed2a26c27aeace47265d9490fa224de",
+        "9d51fd67b978b3f3d7680c41518392ec683d81cc434f568e664d30dd3b36a144",
     ),
     (
         None,
         ["check", "negative-alphabet.txt"],
         2,
-        "152380156aafea051ccca5808aaa31524b498ec78ddc7aecd2f5551f07aea45f",
+        "50c392a2e9dfc4b5e6b40fb83daf7b5c9416c37b04f0503665a9433b3d79b019",
     ),
 ]
 

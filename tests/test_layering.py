@@ -69,6 +69,19 @@ def test_oracles_share_no_graph_code_with_the_decider():
     assert "_graph" not in package_imports(parse("enumeration"))
 
 
+def test_only_words_knows_the_glyphs():
+    """The glyph table belongs to the text forms, whose one home is words:
+    no other module imports, defines or reads GLYPHS."""
+    knowing = {
+        name
+        for name in ("__init__",) + LAYERS[1:]
+        for node in ast.walk(parse(name))
+        for field in ("id", "name", "attr")
+        if getattr(node, field, None) == "GLYPHS"
+    }
+    assert knowing == set()
+
+
 @pytest.mark.parametrize("name", ("__init__",) + LAYERS)
 def test_no_import_inside_a_function(name):
     nested = [

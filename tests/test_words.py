@@ -212,10 +212,10 @@ def test_code_file_alphabet_size_is_ascii_decimal(size):
 def test_code_file_alphabet_size_range():
     assert parse_code_file("alphabet 03\n2\n").alphabet.size == 3
     for size in ("0040", "9" * 5000):
-        with pytest.raises(CodeFileError, match=r"alphabet size 9*4?0* exceeds the 36-letter"):
+        with pytest.raises(CodeFileError, match=r"alphabet of size 9*4?0* exceeds the 36-letter"):
             parse_code_file(f"alphabet {size}\n0\n")
     for size, shown in (("-3", "-3"), ("-0", "0"), ("1", "1"), ("-" + "9" * 5000, "-9+")):
-        with pytest.raises(CodeFileError, match=f"alphabet size must be >= 2, got {shown}$"):
+        with pytest.raises(CodeFileError, match=f"alphabet size must be an integer >= 2, got {shown}$"):
             parse_code_file(f"alphabet {size}\n0\n")
     with pytest.raises(CodeFileError, match="alphabet size '-' is not a decimal number"):
         parse_code_file("alphabet -\n0\n")
