@@ -1,7 +1,7 @@
 """Cross-check the analytic decisions against brute-force oracles.
 
 Over every binary code with lengths (2, 2, 3):
-  * Sardinas-Patterson must agree with a breadth-first search for a
+  * Sardinas-Patterson must agree with a best-first search for a
     doubly-factorizable stream, run out to the pigeonhole-safe bound;
   * the exact delay analysis must agree with a bounded probe of the
     ambiguity automaton, verdict and value alike.

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import IO, Any, Iterator, Optional
+from typing import IO, Any, Iterable, Iterator, Optional
 
 from .census import (
     DEFAULT_UNIVERSE_CAP,
@@ -245,14 +245,22 @@ def cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
 ORACLE_UNIVERSE_LIMIT = 10**4
 
 
-def _visits(suite: tuple[tuple[int, ...], ...], alphabet_max: int, cap: int) -> Iterator:
-    """(lengths, n, universe) for each row at n = 2, 3, ..., alphabet_max, up
-    to and including the first n whose universe is above the cap: the
-    universe n^(sum of lengths) only grows with n.  universe_size refuses a
-    malformed row or an oversized power."""
-    for lengths in suite:
+def _visits(
+    suite: Iterable[tuple[Optional[int], tuple[int, ...]]], alphabet_max: int, cap: int
+) -> Iterator:
+    """(lengths, n, universe) for each (line, lengths) row at n = 2, 3, ...,
+    alphabet_max, up to and including the first n whose universe is above
+    the cap: the universe n^(sum of lengths) only grows with n.
+    universe_size refuses a malformed row or an oversized power, and a row
+    read from a file is refused with its line."""
+    for line, lengths in suite:
         for n in range(2, alphabet_max + 1):
-            universe = universe_size(lengths, n)
+            try:
+                universe = universe_size(lengths, n)
+            except CodesError as exc:
+                if line is None:
+                    raise
+                raise CodeFileError(f"line {line}: {exc}", line=line) from None
             yield lengths, n, universe
             if universe > cap:
                 break
@@ -326,7 +334,10 @@ def _verify_profile(lengths: tuple[int, ...], n: int, universe: int, cap: int) -
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     cap = _universe_cap()
-    suite = _parse_suite(_read_ascii(args.suite)) if args.suite else BUILTIN_SUITE
+    if args.suite:
+        suite = _parse_suite(_read_ascii(args.suite))
+    else:
+        suite = tuple((None, lengths) for lengths in BUILTIN_SUITE)
     if args.alphabet_max < 2:
         raise CodesError(
             f"--alphabet-max must be at least 2, got {decimal_text(args.alphabet_max)}"

@@ -181,55 +181,49 @@ def _check_bound(name: str, bound: int, least: int) -> None:
         )
 
 
-_Search = tuple[Word, tuple[int, ...], tuple[int, ...]]
-_RawSearch = tuple[RawWord, tuple[int, ...], tuple[int, ...]]
-
-
-def two_factorization_search(code: Code, length_bound: int) -> Optional[_Search]:
-    """Breadth-first search for the earliest word admitting two distinct
+def two_factorization_search(
+    code: Code, length_bound: int
+) -> Optional[tuple[Word, tuple[int, ...], tuple[int, ...]]]:
+    """Best-first search for the earliest word admitting two distinct
     code-word factorizations, scanning candidate streams up to length_bound
     letters; None when there is none.  Earliest means shortest, ties broken
-    lexicographically.  With length_bound >= safe_bound(code), None is a
-    proof of unique decodability.  The search runs on symbol tuples, which
-    order as their Words do; only the word returned is made a Word."""
+    lexicographically.  The pair returned is the first pair the search
+    finishes for that stream, which need not be the least.  With
+    length_bound >= safe_bound(code), None is a proof of unique
+    decodability.  The search runs on symbol tuples, which order as their
+    Words do; only the word returned is made a Word.
+
+    One heap holds (length, stream, dangling, trailing, leading): the
+    leading factorization has emitted `stream`, of which the trailing one
+    has yet to match the final `dangling` letters.  An entry with nothing
+    dangling is a finished pair, its two factorizations in sorted order, and
+    sorts before every unfinished entry of its stream, so the first one
+    popped is the answer."""
     _check_bound("length", length_bound, 1)
     words = [word.symbols for word in code.words]
-    best: Optional[_RawSearch] = None
-    for i, j in itertools.combinations(range(len(words)), 2):
-        if words[i] == words[j] and len(words[i]) <= length_bound:
-            candidate = (words[i], (i,), (j,))
-            if best is None or _search_key(candidate) < _search_key(best):
-                best = candidate
-
-    # Heap states: the leader side has emitted `stream`, of which the final
-    # `dangling` letters are not yet matched by the trailing side.  Keys are
-    # (length, stream) so the first completion popped is the earliest.
     heap: list[tuple[int, RawWord, RawWord, tuple[int, ...], tuple[int, ...]]] = []
     for i, leader in enumerate(words):
         for j, trailer in enumerate(words):
-            if i != j and len(trailer) < len(leader) and leader[: len(trailer)] == trailer:
-                heapq.heappush(
-                    heap, (len(leader), leader, leader[len(trailer):], (j,), (i,))
-                )
+            if i < j and leader == trailer:
+                heap.append((len(leader), leader, (), (i,), (j,)))
+            elif len(trailer) < len(leader) and leader[: len(trailer)] == trailer:
+                heap.append((len(leader), leader, leader[len(trailer):], (j,), (i,)))
+    heapq.heapify(heap)
     seen: set[RawWord] = set()
     while heap:
-        stream_len, stream, dangling, trailing_fact, leading_fact = heapq.heappop(heap)
-        if best is not None and (stream_len, stream) >= _search_key(best)[:2]:
-            break
+        stream_len, stream, dangling, trailing, leading = heapq.heappop(heap)
         if stream_len > length_bound:
-            break
+            return None
+        if not dangling:
+            return Word(stream), trailing, leading
         if dangling in seen:
             continue
         seen.add(dangling)
         for idx, word in enumerate(words):
             if word == dangling:
-                found = (stream, trailing_fact + (idx,), leading_fact)
-                a, b = sorted(found[1:])
-                candidate = (stream, a, b)
-                if best is None or _search_key(candidate) < _search_key(best):
-                    best = candidate
-                continue
-            if word[: len(dangling)] == dangling:
+                first, second = sorted((trailing + (idx,), leading))
+                heapq.heappush(heap, (stream_len, stream, (), first, second))
+            elif word[: len(dangling)] == dangling:
                 extension = word[len(dangling):]
                 heapq.heappush(
                     heap,
@@ -237,30 +231,15 @@ def two_factorization_search(code: Code, length_bound: int) -> Optional[_Search]
                         stream_len + len(extension),
                         stream + extension,
                         extension,
-                        leading_fact,
-                        trailing_fact + (idx,),
+                        leading,
+                        trailing + (idx,),
                     ),
                 )
             elif dangling[: len(word)] == word:
                 heapq.heappush(
-                    heap,
-                    (
-                        stream_len,
-                        stream,
-                        dangling[len(word):],
-                        trailing_fact + (idx,),
-                        leading_fact,
-                    ),
+                    heap, (stream_len, stream, dangling[len(word):], trailing + (idx,), leading)
                 )
-    if best is None or len(best[0]) > length_bound:
-        return None
-    stream, first, second = best
-    return Word(stream), first, second
-
-
-def _search_key(found: _RawSearch):
-    word, first, second = found
-    return (len(word), word, first, second)
+    return None
 
 
 class ProbeResult(NamedTuple):

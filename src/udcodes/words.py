@@ -478,12 +478,13 @@ def _decimal_list(text: str) -> tuple[int, ...]:
     return tuple(parse_decimal(part.strip(" \t")) for part in text.split(","))
 
 
-def _parse_suite(text: str) -> tuple[tuple[int, ...], ...]:
-    """Parse the suite file format: one comma-separated length sequence per line."""
+def _parse_suite(text: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Parse the suite file format: one comma-separated length sequence per
+    line, each read as (its line number, its lengths)."""
     rows = []
     for lineno, _, content in _content_lines(text.splitlines(), 1):
         try:
-            rows.append(_decimal_list(content))
+            rows.append((lineno, _decimal_list(content)))
         except ValueError:
             raise CodeFileError(
                 f"line {lineno}: expected comma-separated integers, got {content!r}", line=lineno

@@ -523,7 +523,8 @@ def test_verify_refuses_a_suite_row_below_1_before_any_check(tmp_path, monkeypat
     suite.write_text("1,2\n0\n")
     rc, payload = run_json("verify", "--suite", str(suite), "--alphabet-max", "2")
     assert rc == 2
-    assert payload["error"]["message"] == LENGTH_BELOW_1
+    assert payload["error"]["message"] == "line 2: " + LENGTH_BELOW_1
+    assert payload["error"]["line"] == "2"
 
 
 def test_verify_refuses_a_malformed_suite_row_with_its_line(tmp_path, monkeypatch):
@@ -554,9 +555,10 @@ def test_verify_refuses_an_oversized_power_before_any_check(tmp_path, monkeypatc
     rc, payload = run_json("verify", "--suite", str(suite), "--alphabet-max", "2")
     assert rc == 2
     assert payload["error"]["message"] == (
-        "lengths summing to 2000000 are refused at alphabet size 2: "
+        "line 2: lengths summing to 2000000 are refused at alphabet size 2: "
         "2^2000000 may need more than 1048576 bits"
     )
+    assert payload["error"]["line"] == "2"
 
 
 @pytest.mark.parametrize(
@@ -672,7 +674,7 @@ HUGE_NUMBER_RUNS = [
         None,
         ["verify", "--suite", "huge-suite.txt"],
         2,
-        "a30d87d2c52c29055f21a3a48776e283d80d3e943edfbca21aaefc55c24c94ae",
+        "0b64565fac9d9ead65dead739f662edd94f779217c54478f92a2948b33cd8013",
     ),
     (
         None,

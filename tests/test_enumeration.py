@@ -396,6 +396,90 @@ def test_search_requires_positive_bound():
         two_factorization_search(code("0", "1"), 0)
 
 
+# SHA-256 of the reprs of every search below, in order, as the search
+# returned them before it ran on one heap
+SEARCH_SHA256 = "958fe05a6a58e4fac2233a6556ee5a8bc2c8c254ac0a9cae9e99ad626ca0fd84"
+
+
+def test_search_results_are_pinned_suitewide():
+    digest = hashlib.sha256()
+    calls = 0
+    for profile in BUILTIN_SUITE:
+        for n in (2, 3):
+            for c in enumerate_codes(profile, n):
+                for bound in (1, 2, 3, 5, safe_bound(c)):
+                    digest.update(repr(two_factorization_search(c, bound)).encode())
+                    calls += 1
+    assert calls == 5 * sum(universe_size(p, n) for p in BUILTIN_SUITE for n in (2, 3))
+    assert digest.hexdigest() == SEARCH_SHA256
+
+
+@pytest.mark.parametrize(
+    "texts, bound, found",
+    [
+        (("0", "0", "0"), 1, (Word((0,)), (0,), (1,))),
+        (("0", "00", "00"), None, (Word((0, 0)), (1,), (2,))),
+        (("1", "10", "101", "01"), None, (Word((1, 0, 1)), (0, 3), (2,))),
+    ],
+    ids=["three-equal-words", "repeat-and-square", "two-finishes"],
+)
+def test_search_ties(texts, bound, found):
+    """Among the pairs of one shortest stream the search returns the first
+    pair it finishes, which need not be the least: ("0", "00", "00") has
+    (0, 0) < (1,) on "00"."""
+    c = code(*texts)
+    assert two_factorization_search(c, bound or safe_bound(c)) == found
+
+
+def _factorizations(c, longest):
+    """Every stream of at most `longest` letters, to the index tuples of the
+    code words that spell it, by listing the word sequences themselves."""
+    spelled = collections.defaultdict(set)
+    frontier = [((), ())]
+    while frontier:
+        grown = []
+        for stream, indices in frontier:
+            for i, word in enumerate(c.words):
+                if len(stream) + len(word) <= longest:
+                    step = (stream + word.symbols, indices + (i,))
+                    spelled[step[0]].add(step[1])
+                    grown.append(step)
+        frontier = grown
+    return spelled
+
+
+BRUTE_FORCE_SEARCHES = [
+    ((1, 1, 2), 2),
+    ((1, 2, 2), 2),
+    ((2, 2, 3), 2),
+    ((1, 1, 1), 2),
+    ((1, 1, 1), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "profile, n", BRUTE_FORCE_SEARCHES, ids=[f"{p}-{n}" for p, n in BRUTE_FORCE_SEARCHES]
+)
+def test_search_matches_brute_force(profile, n):
+    """The stream found is the shortest with two factorizations, ties broken
+    lexicographically, and None means none fits the bound; the two index
+    tuples are distinct factorizations of it."""
+    for c in enumerate_codes(profile, n):
+        top = min(safe_bound(c), 8)
+        spelled = _factorizations(c, top)
+        ambiguous = sorted((len(s), s) for s, ways in spelled.items() if len(ways) > 1)
+        for bound in range(1, top + 1):
+            found = two_factorization_search(c, bound)
+            fitting = [s for length, s in ambiguous if length <= bound]
+            if not fitting:
+                assert found is None, (c.texts(), bound)
+                continue
+            stream, first, second = found
+            assert stream.symbols == fitting[0], (c.texts(), bound)
+            assert first != second
+            assert {first, second} <= spelled[stream.symbols]
+
+
 @pytest.mark.parametrize(
     "oracle,bound",
     [
