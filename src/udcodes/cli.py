@@ -344,11 +344,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         )
     if not suite:
         raise CodesError(f"suite file {args.suite!r} holds no length sequence")
-    for _ in _visits(suite, args.alphabet_max, cap):
-        pass  # every row and power is refused before the first check
+    visits = list(_visits(suite, args.alphabet_max, cap))  # every refusal before any check
     checks = [
         {"profile": ",".join(map(str, lengths)), "n": n, "check": name, "ok": ok, "detail": detail}
-        for lengths, n, universe in _visits(suite, args.alphabet_max, cap)
+        for lengths, n, universe in visits
         for name, ok, detail in _verify_profile(lengths, n, universe, cap)
     ]
     failures = [c for c in checks if not c["ok"]]

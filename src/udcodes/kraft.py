@@ -7,7 +7,9 @@ One staged builder fills every prefix construction: for each length value
 in increasing order it places the forced words and then the smallest words
 neither shadowed by earlier choices nor excluded.  One rule excludes: a
 word is never picked when it is forced or is a prefix of a longer forced
-word.  So no pick shadows a forced word.
+word.  So no pick shadows a forced word, and once the Kraft sum is at most 1
+the builder cannot run short: it refuses only a length with more forced
+words than slots.
 
 Every function of the package that takes lengths and an alphabet size
 checks them through _lengths_at: the alphabet, then the lengths, then the
@@ -23,9 +25,10 @@ touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import perm
 from numbers import Real
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .words import (
     Alphabet,
@@ -43,7 +46,8 @@ from .words import (
 
 
 class ConstructionError(CodesError):
-    """A staged construction ran out of eligible words; names the stage."""
+    """A length of a staged construction has more forced words than slots;
+    `stage` names that length."""
 
     def __init__(self, message: str, stage: int | None = None):
         super().__init__(message)
@@ -143,33 +147,18 @@ def count_prefix_codes(profile: ProfileLike, n: int) -> KraftTrace:
 Chosen = list[tuple[int, int]]  # (length, numeral value)
 
 
-def _blocked(chosen: Chosen, length: int, n: int) -> list[tuple[int, int]]:
-    spans = []
-    for l, v in chosen:
-        if l <= length:
-            scale = n ** (length - l)
-            spans.append((v * scale, (v + 1) * scale))
-    spans.sort()
-    return spans
-
-
-def _eligible_ascending(
-    n: int, length: int, chosen: Chosen, excluded: set[int], needed: int
-) -> list[int]:
-    """First `needed` unshadowed numerals of this length, ascending; may run
-    short, which callers treat as an infeasible stage."""
-    blocks = _blocked(chosen + [(length, v) for v in sorted(excluded)], length, n)
-    out: list[int] = []
+def _free_numerals(n: int, length: int, chosen: Chosen, excluded: set[int]) -> Iterator[int]:
+    """The numerals of this length, ascending, that no chosen word (each no
+    longer than `length`) shadows and that are not excluded."""
+    blocks = sorted(
+        [(v * n ** (length - l), (v + 1) * n ** (length - l)) for l, v in chosen]
+        + [(v, v + 1) for v in excluded]
+    )
     cursor = 0
-    top = n**length
-    for lo, hi in blocks + [(top, top)]:
-        while cursor < lo and len(out) < needed:
-            out.append(cursor)
-            cursor += 1
-        if len(out) >= needed:
-            break
+    for lo, hi in blocks:
+        yield from range(cursor, lo)
         cursor = max(cursor, hi)
-    return out
+    yield from range(cursor, n**length)
 
 
 def _numeral_to_word(value: int, length: int, n: int) -> Word:
@@ -196,14 +185,26 @@ def _staged_prefix_code(
     smallest numerals neither shadowed by earlier choices nor excluded.  At
     v, the forced numerals of v are excluded, and so is the length-v prefix
     of every forced numeral of a longer length.  No forced word may be a
-    prefix of another."""
+    prefix of another.
+
+    Only a length with more forced words than slots is refused: once the
+    Kraft sum K is at most 1, no stage runs short.  Callers force only words
+    0^(l-1)1 and 0^l, so the one excluded numeral of length v that is not
+    forced is 0^v, the length-v prefix of every longer forced word, and it
+    is excluded only when such a word exists.  No pick shadows a forced
+    word, so the words chosen below v form a prefix code of Kraft sum K_<v,
+    and n^v (1 - K_<v) numerals of length v are unshadowed, the forced ones
+    of v among them.  When 0^v is excluded for a forced word of length
+    l > v, that word's own term in K gives
+    n^v (1 - K_<v) >= r_v + n^(v-l) > r_v, so the r_v words of length v
+    still fit beside the exclusion.
+    """
     _require_feasible(profile, n)
     chosen: Chosen = []
     words_at: dict[int, list[Word]] = {}
     for value, mult in zip(profile.values, profile.multiplicities):
         pinned = forced.get(value, [])
-        extras_needed = mult - len(pinned)
-        if extras_needed < 0:
+        if len(pinned) > mult:
             raise ConstructionError(
                 f"length {value}: {len(pinned)} forced words but only {mult} slots",
                 stage=value,
@@ -214,14 +215,10 @@ def _staged_prefix_code(
             if length > value
             for f in numerals
         }
-        picks = _eligible_ascending(n, value, chosen, excluded, extras_needed)
-        if len(picks) < extras_needed:
-            raise ConstructionError(
-                f"length {value}: only {len(pinned) + len(picks)} words available, need {mult}",
-                stage=value,
-            )
-        words_at[value] = [_numeral_to_word(v, value, n) for v in pinned + picks]
-        chosen.extend((value, v) for v in pinned + picks)
+        free = _free_numerals(n, value, chosen, excluded)
+        numerals = pinned + list(islice(free, mult - len(pinned)))
+        words_at[value] = [_numeral_to_word(v, value, n) for v in numerals]
+        chosen.extend((value, v) for v in numerals)
     return _arrange(raw, words_at, n)
 
 
@@ -432,12 +429,13 @@ def infinite_delay_witness(lengths: ProfileLike, n: int) -> tuple[Code, Infinite
     # exactly two values, the longer unique and not a multiple of the shorter
     remainder = (b - a) % a
     quotient = (b - a - remainder) // a
-    # the FD condition fails with r_b = 1, so r_a >= 2; Kraft gives r_a < n^a
+    # the FD condition fails with r_b = 1, so r_a >= 2; Kraft gives
+    # r_a <= n^a - 1, so r_a - 2 numerals remain for the extras besides the
+    # three distinct 1^a, 0^a and the banned word 1^(a-remainder) 0^remainder
     r_a = profile.multiplicities[0]
-    # numerals of 1^a and of the banned word 1^(a-remainder) 0^remainder
     ones = (n**a - 1) // (n - 1)
     banned = (n ** (a - remainder) - 1) // (n - 1) * n**remainder
-    extras = _eligible_ascending(n, a, [], {ones, 0, banned}, r_a - 2)
+    extras = list(islice(_free_numerals(n, a, [], {ones, 0, banned}), r_a - 2))
     long_word = Word((1,) * a + (0,) * (b - a))
     words_at = {a: [_numeral_to_word(v, a, n) for v in [ones, 0] + extras], b: [long_word]}
     code = _arrange(raw, words_at, n)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -15,10 +16,11 @@ from udcodes.census import (
     is_pr_eq_ud,
     theorem1_bound,
 )
-from udcodes.decide import delay_analysis, is_prefix_code, sardinas_patterson
+from udcodes.decide import classify, delay_analysis, is_prefix_code, sardinas_patterson
 from udcodes.kraft import (
     ConstructionError,
     InfiniteDelayWitnessSpec,
+    _free_numerals,
     _lengths_at,
     anchored_prefix_code,
     canonical_prefix_code,
@@ -312,6 +314,72 @@ def test_profile_arguments_accepted():
     p = LengthProfile.from_lengths((2, 3, 3))
     assert count_prefix_codes(p, 2).count == 120
     assert kraft_sum(p, 2) == Fraction(1, 2)
+
+
+def test_free_numerals_match_a_brute_force():
+    """Random chosen words (overlapping blocks among them) and excluded
+    numerals (some already shadowed), against a filter over every numeral."""
+    # 0 shadows 00 and 01, 01 overlaps it, and the excluded 01 is shadowed
+    cases = [(2, 2, [(1, 0), (2, 1)], {1, 3})]
+    rng = random.Random(31)
+    for n in (2, 3):
+        for length in range(1, 5):
+            for _ in range(150):
+                lengths = [rng.randint(1, length) for _ in range(rng.randrange(4))]
+                chosen = [(l, rng.randrange(n**l)) for l in lengths]
+                excluded = {rng.randrange(n**length) for _ in range(rng.randrange(4))}
+                cases.append((n, length, chosen, excluded))
+    for n, length, chosen, excluded in cases:
+        expected = [
+            x
+            for x in range(n**length)
+            if x not in excluded and not any(x // n ** (length - l) == v for l, v in chosen)
+        ]
+        assert list(_free_numerals(n, length, chosen, excluded)) == expected, (
+            n, length, chosen, excluded
+        )
+
+
+def test_the_staged_builder_never_runs_short():
+    """Every feasible profile of at most 5 words of lengths at most 6, at
+    n = 2..4, through every construction that applies: each builds its
+    lengths with the classes it promises, and the only refusal is a zero
+    word forced at b beside the one word of length b.  The anchored family
+    is nonempty exactly when the profile is feasible, so exactly when the
+    anchored builder succeeds."""
+    for m in range(1, 6):
+        for lengths in itertools.combinations_with_replacement(range(1, 7), m):
+            for n in (2, 3, 4):
+                p = as_profile(lengths)
+                feasible = is_feasible(lengths, n)
+                pairs = list(itertools.combinations(p.values, 2))
+                for a, b in pairs:
+                    assert (count_anchored_prefix_codes(lengths, n, a, b).count > 0) == feasible
+                if not feasible:
+                    continue
+                code = canonical_prefix_code(lengths, n)
+                assert code.lengths == lengths and classify(code).prefix
+                for a, b in pairs:
+                    for z in (None,) + tuple(v for v in p.values if v >= b):
+                        where = (lengths, n, a, b, z)
+                        if z == b and p.multiplicity(b) == 1:
+                            with pytest.raises(ConstructionError, match="forced words but only 1 slots"):
+                                anchored_prefix_code(lengths, n, a, b, zero_word_length=z)
+                            continue
+                        code = anchored_prefix_code(lengths, n, a, b, zero_word_length=z)
+                        forced = {Word((0,) * (a - 1) + (1,)), Word((0,) * (b - 1) + (1,))}
+                        if z is not None:
+                            forced.add(Word((0,) * z))
+                        assert code.lengths == lengths and classify(code).prefix, where
+                        assert forced <= set(code.words), where
+                if not p.is_constant:
+                    code = ud_nonprefix_witness(lengths, n)
+                    verdict = classify(code)
+                    assert code.lengths == lengths and verdict.ud and not verdict.prefix
+                if not fd_matches_ud_condition(p):
+                    code, _ = infinite_delay_witness(lengths, n)
+                    verdict = classify(code)
+                    assert code.lengths == lengths and verdict.ud and not verdict.finite_delay
 
 
 # SHA-256 of every construction's outcome, recorded before the prefix
