@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import marshal
 import os
 import sys
 from fractions import Fraction
-from typing import IO, Any, Iterable, Iterator, Optional
+from typing import IO, Any, Iterable, Iterator, NoReturn, Optional
 
 from .census import (
     DEFAULT_UNIVERSE_CAP,
@@ -266,9 +267,17 @@ def _visits(
                 break
 
 
-def _verify_profile(lengths: tuple[int, ...], n: int, universe: int, cap: int) -> Iterator:
+def _verify_profile(
+    lengths: tuple[int, ...],
+    n: int,
+    universe: int,
+    cap: int,
+    agreement: Optional[tuple[int, str]],
+) -> Iterator:
     """The checks of one profile at alphabet size n, as (check, ok, detail);
-    only a skip record when its universe is above the cap."""
+    only a skip record when its universe is above the cap.  agreement is
+    the profile's oracle cross-check from _oracle_agreements, None where it
+    does not run."""
     if universe > cap:
         yield "census-cross-check", True, f"skipped: universe {decimal_text(universe)} above cap"
         return
@@ -312,10 +321,33 @@ def _verify_profile(lengths: tuple[int, ...], n: int, universe: int, cap: int) -
                 f"case {spec.case}: " + ",".join(code.texts()),
             )
 
-    if n == 2 and report.total <= ORACLE_UNIVERSE_LIMIT:
-        disagreements = 0
-        sample = ""
-        for code in enumerate_codes(lengths, n, cap):
+    if agreement is not None:
+        disagreements, sample = agreement
+        yield (
+            "oracle-agreement",
+            disagreements == 0,
+            f"{disagreements} disagreements" + (f", first {sample}" if sample else ""),
+        )
+
+
+# The oracle cross-check runs in at most one process per CPU and per this
+# many codes, so a process is not forked for a few milliseconds of work.
+ORACLE_CODES_PER_PROCESS = 256
+
+def _oracle_part(
+    profiles: list[tuple[tuple[int, ...], int]], cap: int, part: int, parts: int
+) -> list[tuple[int, int, str]]:
+    """The oracle cross-check of each (lengths, n) profile on the codes whose
+    enumeration index is part mod parts: classify against the
+    two-factorization search, and the delay of an injective code against
+    the bounded probe, both up to the code's safe bound.  Per profile, the
+    disagreements, the index of the first and its text (-1 and "" when
+    there is none)."""
+    results = []
+    for lengths, n in profiles:
+        disagreements, first, sample = 0, -1, ""
+        codes = itertools.islice(enumerate(enumerate_codes(lengths, n, cap)), part, None, parts)
+        for index, code in codes:
             c = classify(code)
             bound = safe_bound(code)
             ok = c.ud == (two_factorization_search(code, bound) is None)
@@ -323,13 +355,74 @@ def _verify_profile(lengths: tuple[int, ...], n: int, universe: int, cap: int) -
                 probe = bounded_delay_probe(code, bound)
                 ok = (c.finite_delay, c.delay) == (probe.verdict == "finite", probe.delay)
             if not ok:
+                if not disagreements:
+                    first, sample = index, ",".join(code.texts())
                 disagreements += 1
-                sample = sample or ",".join(code.texts())
-        yield (
-            "oracle-agreement",
-            disagreements == 0,
-            f"{disagreements} disagreements" + (f", first {sample}" if sample else ""),
-        )
+        results.append((disagreements, first, sample))
+    return results
+
+
+def _oracle_child(
+    write: int, profiles: list[tuple[tuple[int, ...], int]], cap: int, part: int, parts: int
+) -> NoReturn:
+    """A forked child's whole life: its part's results, marshalled into the
+    pipe, and exit status 0 only once they are all written."""
+    status = 1
+    try:
+        data = marshal.dumps(_oracle_part(profiles, cap, part, parts))
+        with open(write, "wb") as out:
+            out.write(data)
+        status = 0
+    finally:
+        # no exit handler, buffer flush or traceback of the parent's runs here
+        os._exit(status)
+
+
+def _oracle_agreements(
+    profiles: list[tuple[tuple[int, ...], int, int]], cap: int
+) -> list[tuple[int, str]]:
+    """Per (lengths, n, universe) profile, the oracle cross-check's number of
+    disagreements and the text of the first disagreeing code in enumeration
+    order ("" when there is none).
+
+    The codes are split into K parts by their enumeration index mod K, with
+    K the CPUs this process may run on, but at most one per
+    ORACLE_CODES_PER_PROCESS codes.  Part 0 runs here and the others in
+    forked children, which send their results back through a pipe; a part
+    whose child fails is run again here, so a refusal surfaces as it would
+    in one process.  Every child is reaped before this returns or raises."""
+    pairs = [(lengths, n) for lengths, n, _ in profiles]
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity is not None else 1
+    parts = max(1, min(cpus, sum(u for _, _, u in profiles) // ORACLE_CODES_PER_PROCESS))
+    children: list[tuple[int, int, int]] = []  # (pid, read end of its pipe, part)
+    try:
+        for part in range(1, parts):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _oracle_child(write, pairs, cap, part, parts)
+            os.close(write)
+            children.append((pid, read, part))
+        found = [_oracle_part(pairs, cap, 0, parts)]
+        while children:
+            pid, read, part = children.pop()
+            try:
+                with open(read, "rb") as handle:
+                    data = handle.read()
+            finally:
+                _, status = os.waitpid(pid, 0)
+            found.append(_oracle_part(pairs, cap, part, parts) if status else marshal.loads(data))
+    finally:
+        for pid, read, _ in children:
+            os.close(read)  # a child still writing stops at the closed pipe
+            os.waitpid(pid, 0)
+    agreements = []
+    for per_part in zip(*found):
+        disagreements = sum(d for d, _, _ in per_part)
+        _, sample = min(((first, sample) for d, first, sample in per_part if d), default=(-1, ""))
+        agreements.append((disagreements, sample))
+    return agreements
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
@@ -345,10 +438,16 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if not suite:
         raise CodesError(f"suite file {args.suite!r} holds no length sequence")
     visits = list(_visits(suite, args.alphabet_max, cap))  # every refusal before any check
+    # the oracles run on the binary codes of each profile of at most
+    # ORACLE_UNIVERSE_LIMIT codes, all in one split of the work
+    oracle = [n == 2 and universe <= min(cap, ORACLE_UNIVERSE_LIMIT) for _, n, universe in visits]
+    agreements = iter(_oracle_agreements(list(itertools.compress(visits, oracle)), cap))
     checks = [
         {"profile": ",".join(map(str, lengths)), "n": n, "check": name, "ok": ok, "detail": detail}
-        for lengths, n, universe in visits
-        for name, ok, detail in _verify_profile(lengths, n, universe, cap)
+        for (lengths, n, universe), runs in zip(visits, oracle)
+        for name, ok, detail in _verify_profile(
+            lengths, n, universe, cap, next(agreements) if runs else None
+        )
     ]
     failures = [c for c in checks if not c["ok"]]
     results = {

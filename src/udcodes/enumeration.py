@@ -262,28 +262,30 @@ class ProbeStateCapExceeded(CodesError):
         self.cap = cap
 
 
-# A probe state is keyed by a flat tuple (p0, m0, p1, m1, ...) in increasing
-# position: the factorizations whose first word is one of the bits of mask m
-# can stand at position p in the consumed stream.  Positions are small ints
-# numbered by _probe_moves.
+# A probe state is keyed by a flat tuple (i0, P0, i1, P1, ...) in increasing
+# first word: the factorizations whose first word is i can stand at each
+# position of the bit set P in the consumed stream.  Positions are small
+# ints numbered by _probe_moves.
 _ProbeKey = tuple[int, ...]
 
 
-def _probe_moves(raw: list[tuple[int, ...]]) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """The probe's moves, moves[position] -> [(letter, next position)], and
-    the position of each first word before its first letter, from one walk
-    over each word.
+def _probe_moves(raw: list[tuple[int, ...]]) -> tuple[list[list[int]], list[int]]:
+    """The probe's moves as one table per letter of the code,
+    table[position] -> the bit set of the positions that letter leads to,
+    and the position of each first word before its first letter, from one
+    walk over each word.
 
     Position 0 is a boundary, the root of the trie of proper prefixes of the
     code words; the other trie nodes are the letters read since the last
-    boundary.  Before the first boundary a factorization is inside its first
-    word i at offset k.  Where word i alone has i[:k] as a proper prefix,
-    that position and the trie node i[:k] accept the same streams and share
-    a number, so the states correspond one to one with sets of (first word,
-    word, offset) entries and the state graph does not depend on the
-    encoding."""
+    boundary.  A trie node and a letter lead to its child and, where a word
+    ends there, to the boundary.  Before the first boundary a factorization
+    is inside its first word i at offset k.  Where word i alone has i[:k] as
+    a proper prefix, that position and the trie node i[:k] accept the same
+    streams and share a number, so the states correspond one to one with
+    sets of (first word, word, offset) entries and the state graph does not
+    depend on the encoding."""
     child: dict[tuple[int, int], int] = {}  # (node, letter) -> trie node
-    moves: list[list[tuple[int, int]]] = [[]]
+    moves: list[list[tuple[int, int]]] = [[]]  # per position, (letter, next position)
     through = [len(raw)]  # per trie node, the words it is a proper prefix of
     paths = []
     for word in raw:
@@ -310,7 +312,14 @@ def _probe_moves(raw: list[tuple[int, ...]]) -> tuple[list[list[tuple[int, int]]
                 moves.append([(letter, position)])
                 position = len(moves) - 1
         starts.append(position)
-    return moves, starts
+    tables: dict[int, list[int]] = {}
+    for position, out in enumerate(moves):
+        for letter, nxt in out:
+            table = tables.get(letter)
+            if table is None:
+                table = tables[letter] = [0] * len(moves)
+            table[position] |= 1 << nxt
+    return list(tables.values()), starts
 
 
 def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
@@ -318,18 +327,18 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
 
     Runs the deterministic automaton over sets of alternatives and measures
     how long two different first code words can stay consistent with the
-    same consumed stream.  An alternative is a position, either inside the
-    first word before its end or a node of the trie of proper prefixes of
-    the code words read since the last word boundary, with the bit set of
-    first words that reach it; each state holds one entry per position.  A
-    state is ambiguous when its entries carry at least two first words.
-    Because the set of surviving first words only shrinks along a run, a
-    successor with one first word left leads only to such states and bears
-    on neither the verdict, the delay nor a witness: it is dropped as it is
-    met, and only ambiguous states are built.  Unbounded ambiguity shows up
-    as a cycle among them.  The verdict is exact; `unknown` is returned
-    only when the exact delay exceeds t_max, which cannot happen once t_max
-    reaches safe_bound(code).
+    same consumed stream.  An alternative is a first word with a position,
+    either inside the first word before its end or a node of the trie of
+    proper prefixes of the code words read since the last word boundary;
+    each state holds, per first word still alive, the bit set of the
+    positions it reaches.  A state is ambiguous when it holds at least two
+    first words.  Because the set of surviving first words only shrinks
+    along a run, a successor with one first word left leads only to such
+    states and bears on neither the verdict, the delay nor a witness: it is
+    dropped as it is met, and only ambiguous states are built.  Unbounded
+    ambiguity shows up as a cycle among them.  The verdict is exact;
+    `unknown` is returned only when the exact delay exceeds t_max, which
+    cannot happen once t_max reaches safe_bound(code).
     A state's first-word pair is its two lowest-indexed first words; the
     finite witness is the least pair, in word order, of a deepest ambiguous
     state, and the infinite witness the least pair of an ambiguous state on
@@ -337,14 +346,17 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
 
     One depth-first walk builds the states and finds the strongly connected
     components of their graph as it goes (Tarjan's algorithm, on an explicit
-    stack).  A state is keyed by a flat tuple of its entries, the masks of
-    equal value are one object, and a state's id is the order in which the
-    walk reached it, which is also its depth-first index.  The components
-    come out each after every one it reaches: a cyclic one gives the
-    infinite verdict, and when there is none, the reverse of that order
-    gives each state's depth.  ProbeStateCapExceeded is raised as the
-    (_PROBE_STATE_CAP + 1)-th ambiguous state is built, the start included,
-    so its `.states` is the cap plus one.  t_max must be an int >= 0.
+    stack).  A state is keyed by a flat tuple of its first words and their
+    position sets.  A letter's image of a position set is the union of the
+    positions each of its members leads to; it is computed once per letter
+    and set in a call and stored, and the keys hold the stored sets.  A
+    state's id is the order in which the walk reached it, which is
+    also its depth-first index.  The components come out each after every
+    one it reaches: a cyclic one gives the infinite verdict, and when there
+    is none, the reverse of that order gives each state's depth.
+    ProbeStateCapExceeded is raised as the (_PROBE_STATE_CAP + 1)-th
+    ambiguous state is built, the start included, so its `.states` is the
+    cap plus one.  t_max must be an int >= 0.
     """
     _check_bound("delay", t_max, 0)
     words = code.words
@@ -352,30 +364,30 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
         raise CodesError("delay probe needs pairwise distinct words")
     if len(words) < 2:
         return ProbeResult("finite", 0, None)
-    moves, starts = _probe_moves([word.symbols for word in words])
+    tables, starts = _probe_moves([word.symbols for word in words])
     cap = _PROBE_STATE_CAP
-    shared: dict[int, int] = {}  # one object per mask value, kept by every key
+    # per letter, its table and the images of the position sets met so far
+    letters: list[tuple[list[int], dict[int, int]]] = [(table, {}) for table in tables]
 
     def successors(key: _ProbeKey) -> list[_ProbeKey]:
         """The keys of the ambiguous successors of a state."""
-        by_letter: dict[int, dict[int, int]] = {}
-        entries = iter(key)
-        for position, mask in zip(entries, entries):
-            for letter, nxt in moves[position]:
-                moved = by_letter.get(letter)
-                if moved is None:
-                    moved = by_letter[letter] = {}
-                moved[nxt] = moved.get(nxt, 0) | mask
         found = []
-        for moved in by_letter.values():
-            tag = 0
-            for mask in moved.values():
-                tag |= mask
-            if tag & (tag - 1):
-                flat: list[int] = []
-                for position in sorted(moved):
-                    mask = moved[position]
-                    flat += position, shared.setdefault(mask, mask)
+        for table, images in letters:
+            flat: list[int] = []
+            entries = iter(key)
+            for first, positions in zip(entries, entries):
+                image = images.get(positions)
+                if image is None:
+                    image = 0
+                    rest = positions
+                    while rest:
+                        low = rest & -rest
+                        image |= table[low.bit_length() - 1]
+                        rest ^= low
+                    images[positions] = image
+                if image:
+                    flat += first, image
+            if len(flat) > 2:
                 found.append(tuple(flat))
         return found
 
@@ -403,8 +415,7 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
         stack.append(s)
         return s
 
-    start = sorted((position, 1 << i) for i, position in enumerate(starts))
-    build(tuple(itertools.chain.from_iterable(start)))
+    build(tuple(itertools.chain.from_iterable((i, 1 << p) for i, p in enumerate(starts))))
     while work:
         s, pending, targets, height = work[-1]
         for key in pending:
@@ -431,13 +442,8 @@ def bounded_delay_probe(code: Code, t_max: int) -> ProbeResult:
             finished.append(s)
 
     def first_pair(s: int) -> tuple[Word, Word]:
-        tag = 0
-        for mask in keys[s][1::2]:
-            tag |= mask
-        first = tag & -tag
-        second = tag ^ first
-        second &= -second
-        return words[first.bit_length() - 1], words[second.bit_length() - 1]
+        key = keys[s]
+        return words[key[0]], words[key[2]]
 
     if cyclic:
         return ProbeResult("infinite", None, min(map(first_pair, cyclic)))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from udcodes import cli
 from udcodes.cli import main
-from udcodes.enumeration import BUILTIN_SUITE
+from udcodes.enumeration import BUILTIN_SUITE, enumerate_codes
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -359,6 +359,105 @@ def test_verify_custom_suite(tmp_path):
     assert results["checks_run"] == "7"
     assert results["failures"] == "0"
     assert {e["profile"] for e in results["checks"]} == {"2,3,3"}
+
+
+def _verify_args(tmp_path, suite):
+    """verify's arguments: the built-in suite, or a file of the given rows."""
+    if suite is None:
+        return ("verify", "--alphabet-max", "2")
+    path = tmp_path / "suite.txt"
+    path.write_text(suite)
+    return ("verify", "--suite", str(path), "--alphabet-max", "2")
+
+
+def _run_on_cpus(monkeypatch, cpus, argv):
+    """verify's exit code and stdout with os.sched_getaffinity reporting the
+    given number of CPUs, and the number of processes it forked."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch.setattr(os, "fork", counted_fork)
+        rc, out, _err = run(*argv)
+    return rc, out, len(forks)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("suite", [None, "2,2,3,4\n"], ids=["builtin", "2,2,3,4"])
+def test_verify_output_is_the_same_in_one_or_two_processes(tmp_path, monkeypatch, suite):
+    argv = _verify_args(tmp_path, suite)
+    one = _run_on_cpus(monkeypatch, 1, argv)
+    two = _run_on_cpus(monkeypatch, 2, argv)
+    assert one == (0, one[1], 0)
+    assert two == (0, one[1], 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_verify_reports_the_first_disagreement_of_every_part(tmp_path, monkeypatch):
+    """A probe that errs on codes at even and odd enumeration indices, the
+    first in the forked part: the count and the first code are those of
+    one process."""
+    codes = list(enumerate_codes((2, 2, 3, 4), 2))
+    chosen = {codes[k].texts() for k in (129, 1000, 1001)}
+    assert all(len(set(codes[k].words)) == 4 for k in (129, 1000, 1001))
+    real = cli.bounded_delay_probe
+
+    def wrong_on_chosen(code, bound):
+        result = real(code, bound)
+        if code.texts() in chosen:
+            return result._replace(verdict="finite", delay=(result.delay or 0) + 1)
+        return result
+
+    monkeypatch.setattr(cli, "bounded_delay_probe", wrong_on_chosen)
+    argv = _verify_args(tmp_path, "2,2,3,4\n")
+    rc, out, forks = _run_on_cpus(monkeypatch, 1, argv)
+    assert (rc, forks) == (1, 0)
+    assert _run_on_cpus(monkeypatch, 2, argv) == (1, out, 1)
+    (failed,) = [c for c in json.loads(out)["results"]["checks"] if not c["ok"]]
+    assert failed["check"] == "oracle-agreement"
+    assert failed["detail"] == "3 disagreements, first " + ",".join(codes[129].texts())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_verify_reruns_the_part_of_a_failed_child(tmp_path, monkeypatch):
+    """A child that fails has its part run again in-process, and no child
+    outlives verify."""
+    argv = _verify_args(tmp_path, "2,2,3,4\n")
+    rc, out, _ = _run_on_cpus(monkeypatch, 1, argv)
+    parent = os.getpid()
+    real = cli._oracle_part
+    ran_here = []
+
+    def fails_in_a_child(profiles, cap, part, parts):
+        if os.getpid() != parent:
+            raise RuntimeError("a failing child")
+        ran_here.append((part, parts))
+        return real(profiles, cap, part, parts)
+
+    monkeypatch.setattr(cli, "_oracle_part", fails_in_a_child)
+    assert _run_on_cpus(monkeypatch, 2, argv) == (rc, out, 1)
+    assert sorted(ran_here) == [(0, 2), (1, 2)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_verify_refusal_in_the_oracle_loop_leaves_no_child(tmp_path, monkeypatch):
+    """A probe refusal in every part: the same error report as in one
+    process, and every child is waited for."""
+    monkeypatch.setattr(importlib.import_module("udcodes.enumeration"), "_PROBE_STATE_CAP", 1)
+    argv = _verify_args(tmp_path, "2,2,3,4\n")
+    rc, out, forks = _run_on_cpus(monkeypatch, 1, argv)
+    assert (rc, forks) == (2, 0)
+    assert json.loads(out)["error"]["message"] == "delay probe state space exceeded the safety cap"
+    assert _run_on_cpus(monkeypatch, 2, argv) == (2, out, 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_suite_with_non_ascii_byte_reports_line(tmp_path):
