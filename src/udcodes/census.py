@@ -123,18 +123,14 @@ def universe_size(profile: ProfileLike, n: int) -> int:
     return n ** _lengths_at(profile, n)[2]
 
 
-def _check_cap(cap: int) -> None:
-    if isinstance(cap, bool) or not isinstance(cap, int):
-        raise CodesError(f"the universe cap must be an integer, got {decimal_repr(cap)}")
-
-
 def _within_cap(
     lengths: ProfileLike, n: int, cap: int
 ) -> tuple[tuple[int, ...], LengthProfile, int]:
     """The (lengths, n) check, then the cap on the whole universe, before
     any code: the raw lengths (sorted for a profile), profile, universe size."""
     raw, profile, length_sum = _lengths_at(lengths, n)
-    _check_cap(cap)
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise CodesError(f"the universe cap must be an integer, got {decimal_repr(cap)}")
     total = n**length_sum
     if total > cap:
         raise UniverseTooLarge(total, cap)
@@ -284,8 +280,8 @@ class BoundReport(NamedTuple):
     """Lower bound on the ratio |UD| / |PR| obtained from two length values
     a and b: 1 + r_a * r_b / count_pr_pair(a, b, n).
 
-    ud_count, ratio and satisfied are None when |UD| is not computable
-    (no closed form and the enumeration universe exceeds the cap).
+    ud_count, ratio and satisfied are None when |UD| is not known: no
+    ud_count was given and no closed form applies.
     """
 
     profile: LengthProfile
@@ -304,14 +300,13 @@ def theorem1_bound(
     n: int,
     a: int,
     b: int,
-    enumeration_cap: int = DEFAULT_UNIVERSE_CAP,
     ud_count: Optional[int] = None,
 ) -> BoundReport:
     """Evaluate the quotient lower bound for two distinct length values.
 
-    The true ratio is reported alongside when |UD| is available: given as
-    ``ud_count`` (say, by a census the caller already ran), or else from a
-    closed form or a desk-scale enumeration; it is never estimated.
+    The true ratio is reported alongside when |UD| is known: given as
+    ``ud_count`` (say, by the census the caller ran, in the mode it chose),
+    or else from a closed form.  It never enumerates and never estimates.
     """
     _, p, length_sum = _lengths_at(profile, n)
     if p.is_constant:
@@ -324,7 +319,6 @@ def theorem1_bound(
     _require_feasible(p, n)
     if ud_count is not None and not _int_at_least(ud_count, 0):
         raise CodesError(f"ud_count must be an integer >= 0, got {decimal_repr(ud_count)}")
-    _check_cap(enumeration_cap)
     pr = count_prefix_codes(p, n).count
     if ud_count is not None and not pr <= ud_count <= n**length_sum:  # PR <= UD <= all
         raise CodesError(
@@ -338,13 +332,7 @@ def theorem1_bound(
     ud = ud_count
     if ud is None:
         counts = closed_form_counts(p, n)
-        if counts is not None:
-            ud = counts.ud
-        else:
-            try:
-                ud = census(p, n, mode="enumeration", cap=enumeration_cap).ud
-            except UniverseTooLarge:
-                pass
+        ud = counts.ud if counts is not None else None
 
     ratio = Fraction(ud, pr) if ud is not None else None
     satisfied = (ratio >= lower) if ratio is not None else None

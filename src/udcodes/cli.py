@@ -41,6 +41,7 @@ from .enumeration import (
     write_classification_csv,
 )
 from .kraft import (
+    _require_feasible,
     canonical_prefix_code,
     count_anchored_prefix_codes,
     infinite_delay_witness,
@@ -194,16 +195,18 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
     lengths = _parse_lengths(args.lengths)
     n = args.alphabet
     mode = {"enumerate": "enumeration"}.get(args.method, args.method)
-    # the (lengths, n) refusals, then the pair's, before the census
+    # the (lengths, n) refusals, then the pair's and the bound's Kraft
+    # refusal, before the census
     results: dict = {"kraft_sum": kraft_sum(lengths, n), "feasible": is_feasible(lengths, n)}
     family = None
     if args.anchored is not None:
         family = count_anchored_prefix_codes(lengths, n, *_parse_pair(args.anchored))
+        _require_feasible(family.profile, n)
     report = census(lengths, n, mode=mode, cap=cap)
     results["census"] = {k: v for k, v in report._asdict().items() if k not in ("profile", "n")}
     if family is not None:
         a, b = family.a, family.b
-        bound = theorem1_bound(lengths, n, a, b, enumeration_cap=cap, ud_count=report.ud)
+        bound = theorem1_bound(lengths, n, a, b, ud_count=report.ud)
         results["anchored"] = {
             "a": a,
             "b": b,

@@ -138,7 +138,7 @@ def test_theorem1_bound_233_ternary():
 
 
 def test_theorem1_bound_enumerated_profile():
-    report = theorem1_bound((2, 2, 3), 2, 2, 3)
+    report = theorem1_bound((2, 2, 3), 2, 2, 3, ud_count=census((2, 2, 3), 2).ud)
     assert report.lower_bound == Fraction(13, 12)
     assert report.pr_count == 48
     assert report.ud_count == 80
@@ -146,26 +146,29 @@ def test_theorem1_bound_enumerated_profile():
     assert report.satisfied
 
 
-def test_theorem1_bound_cap_leaves_ud_unknown():
-    report = theorem1_bound((2, 2, 3), 2, 2, 3, enumeration_cap=10)
-    assert report.lower_bound == Fraction(13, 12)
-    assert report.pr_count == 48
-    assert report.ud_count is None
-    assert report.ratio is None
-    assert report.satisfied is None
+def test_theorem1_bound_takes_a_known_ud_count():
+    ud = census((2, 2, 3), 2, mode="enumeration").ud
+    report = theorem1_bound((2, 2, 3), 2, 2, 3, ud_count=ud)
+    assert (report.ud_count, report.ratio, report.satisfied) == (80, Fraction(5, 3), True)
 
 
-def test_theorem1_bound_takes_a_known_ud_count(monkeypatch):
+def test_theorem1_bound_reaches_no_census(monkeypatch):
+    """|UD| comes from the caller's ud_count or a closed form, never from an
+    enumeration of its own; with neither it is left unknown."""
     census_module = importlib.import_module("udcodes.census")
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a known UD count needs no census")
+        raise AssertionError("theorem1_bound ran a census")
 
-    computed = theorem1_bound((2, 2, 3), 2, 2, 3)
     monkeypatch.setattr(census_module, "census", forbidden)
+    monkeypatch.setattr(census_module, "_enumerated_counts", forbidden)
+    unknown = theorem1_bound((2, 2, 3), 2, 2, 3)  # no closed form
+    assert unknown.lower_bound == Fraction(13, 12)
+    assert unknown.pr_count == 48
+    assert (unknown.ud_count, unknown.ratio, unknown.satisfied) == (None, None, None)
+    assert theorem1_bound((2, 3, 3), 2, 2, 3).ud_count == 180  # count_233
     given = theorem1_bound((2, 2, 3), 2, 2, 3, ud_count=80)
-    assert given == computed
-    assert theorem1_bound((2, 2, 3), 2, 2, 3, enumeration_cap=10, ud_count=80) == computed
+    assert (given.ud_count, given.ratio, given.satisfied) == (80, Fraction(5, 3), True)
 
 
 def test_a_cross_check_discrepancy_fails_the_census_and_the_cli(monkeypatch, capsys):
@@ -339,19 +342,6 @@ def test_every_entry_point_refuses_malformed_lengths(call, lengths, message):
     "call",
     [
         pytest.param(lambda cap: census((2, 3), 2, cap=cap), id="census"),
-        pytest.param(
-            lambda cap: theorem1_bound((2, 3, 4), 2, 2, 3, enumeration_cap=cap),
-            id="theorem1_bound",
-        ),
-        # the cap is checked on every call, not only when it enumerates
-        pytest.param(
-            lambda cap: theorem1_bound((2, 3, 3), 2, 2, 3, enumeration_cap=cap),
-            id="theorem1_bound-closed-form",
-        ),
-        pytest.param(
-            lambda cap: theorem1_bound((2, 3, 4), 2, 2, 3, enumeration_cap=cap, ud_count=240),
-            id="theorem1_bound-ud_count",
-        ),
         pytest.param(lambda cap: enumerate_codes((2, 3), 2, cap=cap), id="enumerate_codes"),
         pytest.param(
             lambda cap: write_classification_csv((2, 3), 2, io.StringIO(), cap=cap),

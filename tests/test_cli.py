@@ -681,6 +681,54 @@ def test_count_refuses_a_bad_anchored_pair_before_its_census(monkeypatch, pair, 
     assert payload["error"]["message"] == message
 
 
+@pytest.mark.parametrize("method", ("formula", "enumerate", "both"))
+@pytest.mark.parametrize(
+    "lengths, ud",
+    (("2,3,3", "180"), ("2,2,3", None)),  # a closed form, and none
+)
+def test_count_bound_takes_ud_from_its_census(method, lengths, ud):
+    rc, payload = run_json(
+        "count", "--lengths", lengths, "--alphabet", "2", "--method", method, "--anchored", "2,3"
+    )
+    assert rc == 0
+    results = payload["results"]
+    assert results["bound"]["ud"] == results["census"]["ud"]
+    if method == "formula":
+        assert results["census"]["ud"] == ud
+        assert (results["bound"]["ratio"] is None) == (ud is None)
+
+
+def test_count_formula_anchored_enumerates_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a formula count enumerated")
+
+    monkeypatch.setattr(importlib.import_module("udcodes.census"), "_enumerated_counts", forbidden)
+    rc, payload = run_json(
+        "count", "--lengths", "3,4,5,5", "--alphabet", "2", "--method", "formula",
+        "--anchored", "3,4",
+    )
+    assert rc == 0
+    bound = payload["results"]["bound"]
+    assert (bound["ud"], bound["ratio"], bound["satisfied"]) == (None, None, None)
+    assert bound["lower_bound"] == "113/112"
+
+
+def test_count_anchored_refuses_a_kraft_sum_above_1_before_its_census(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a census ran")
+
+    monkeypatch.setattr(cli, "census", forbidden)
+    # the universe, 2^23 codes, is also above the cap
+    rc, payload = run_json(
+        "count", "--lengths", "2,2,2,3,3,3,4,4", "--alphabet", "2", "--anchored", "2,3"
+    )
+    assert rc == 2
+    assert payload["error"]["message"] == (
+        "no uniquely decodable code with these lengths exists at alphabet size 2 "
+        "(Kraft sum 5/4 exceeds 1)"
+    )
+
+
 def digits(power):
     """Decimal digit count of 2**power, without rendering it."""
     return math.floor(power * math.log10(2)) + 1
